@@ -56,7 +56,6 @@ int main() {
       w.attach(*sinks.back(), "sink" + std::to_string(i), w.add_node());
       members.push_back(sinks.back()->id());
     }
-    w.groups().create(members);
     const sim::Time start = w.simulator().now();
     sender.multicast(members, 1);
     w.run();

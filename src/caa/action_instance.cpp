@@ -1,13 +1,12 @@
 #include "caa/action_instance.h"
 
-#include <algorithm>
-
 #include "net/wire.h"
+#include "util/members.h"
 
 namespace caa::action {
 
 bool InstanceInfo::is_member(ObjectId o) const {
-  return std::binary_search(members.begin(), members.end(), o);
+  return rank_in(members, o).has_value();
 }
 
 net::Bytes encode(const DoneMsg& m) {

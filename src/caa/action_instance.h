@@ -23,9 +23,10 @@ namespace caa::action {
 struct InstanceInfo {
   ActionInstanceId instance;
   const ActionDecl* decl = nullptr;
-  std::vector<ObjectId> members;  // sorted
-  GroupId group;                  // closed communication group (§4.5)
-  ActionInstanceId parent;        // invalid for an outermost action
+  // Sorted (§4.1 order). The instance's one member list: every layer reads
+  // it by reference and ranks it with rank_in (util/members.h).
+  std::vector<ObjectId> members;
+  ActionInstanceId parent;  // invalid for an outermost action
 
   /// Overlay dissemination decision, stamped at create_instance from the
   /// manager's defaults so every member derives the identical relay tree

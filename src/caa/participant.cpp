@@ -107,7 +107,6 @@ bool Participant::enter(ActionInstanceId instance, EnterConfig config) {
   ex::Context context;
   context.instance = instance;
   context.action = info.decl->id();
-  context.group = info.group;
   context.tree = &info.decl->tree();
   context.handlers = &dyn.config.handlers;
   context.abortion_handler = dyn.config.abortion_handler;
@@ -117,6 +116,11 @@ bool Participant::enter(ActionInstanceId instance, EnterConfig config) {
   // this member relays (and delivers) from the first envelope on.
   if (info.use_tree) ensure_overlay(info);
 
+  // Members already known to have crashed are excluded from the start; the
+  // scope's engines, exit protocol and avoidance all read this one set.
+  for (ObjectId peer : crashed_) {
+    if (info.is_member(peer)) dyn.excluded.insert(peer);
+  }
   dyn.engine = make_engine(dyn, instance);
   dyn.exit = dyn.config.exit_factory
                  ? dyn.config.exit_factory(*this, info)
@@ -127,11 +131,7 @@ bool Participant::enter(ActionInstanceId instance, EnterConfig config) {
   // live members before resolving anything. Their status replies carry any
   // commit of a round this belated entrant missed entirely (its buffered
   // copy, if one was ever sent, is from-crashed traffic and void).
-  for (ObjectId member : info.members) {
-    if (crashed_.contains(member)) {
-      begin_crash_sync(instance, dyn, member);
-    }
-  }
+  for (ObjectId member : dyn.excluded) begin_crash_sync(instance, dyn, member);
   trace("enter", info.decl->name());
   if (obs::Observability* o = observing()) {
     dyn.action_span =
@@ -1097,16 +1097,10 @@ void Participant::pop_context(ActionInstanceId scope, bool dead) {
 std::unique_ptr<resolve::ResolverCore> Participant::make_engine(
     Dyn& dyn, ActionInstanceId scope) {
   auto engine = std::make_unique<resolve::ResolverCore>(
-      id(), dyn.info->members, &dyn.info->decl->tree(), scope, dyn.round,
-      make_hooks(scope), dyn.config.resolver_committee);
+      id(), dyn.info->members, dyn.excluded, &dyn.info->decl->tree(), scope,
+      dyn.round, make_hooks(scope), dyn.config.resolver_committee);
   if (manager_.debug_bugs().exclusion_divergence) {
     engine->set_debug_keep_crashed(true);
-  }
-  for (ObjectId member : dyn.info->members) {
-    if (crashed_.contains(member)) {
-      dyn.excluded.insert(member);
-      engine->exclude_member(member);
-    }
   }
   // A round bump mid-CrashSync: the fresh engine inherits the gate until
   // the outstanding status replies drain.
@@ -1277,7 +1271,6 @@ void Participant::notify_peer_crashed(ObjectId peer) {
     // decide re-evaluation below see settled (engine-held) state.
     if (dyn.avoidance != nullptr) dyn.avoidance->on_peer_crashed(peer);
     const ObjectId old_leader = live_leader(dyn);
-    dyn.excluded.insert(peer);
     // Barrier before exclusion: the gate must be on before exclude_member's
     // readiness re-check, or this object could commit from its own partial
     // view the instant the crashed member's ACK is waived. The planted-bug
@@ -1285,6 +1278,7 @@ void Participant::notify_peer_crashed(ObjectId peer) {
     // restoring the pre-PR 5 race the explorer must rediscover.
     const bool skip_sync = manager_.debug_bugs().exclusion_divergence;
     if (!skip_sync) begin_crash_sync(instance, dyn, peer);
+    dyn.excluded.insert(peer);
     dyn.engine->exclude_member(peer);
     // If an earlier barrier was still waiting on this peer, its reply will
     // never come — waive it (may complete that barrier).
@@ -1467,9 +1461,9 @@ void Participant::notify_peer_restarted(ObjectId peer) {
   if (peer == id()) return;
   if (crashed_.erase(peer) == 0) return;
   trace("peer restarted", "O" + std::to_string(peer.value()));
-  // Per-instance exclusions stay: the peer lost its volatile state for
-  // those actions and the engines have already waived it. Only the global
-  // from-crashed message filter and new-instance membership reset.
+  // Scope exclusions stay (DESIGN.md §4b): the peer lost its volatile state
+  // for those actions. Only the from-crashed message filter and the seed
+  // for scopes entered from now on forget it.
 }
 
 void Participant::on_restarted() {

@@ -300,9 +300,10 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   void notify_peer_crashed(ObjectId peer);
 
   /// Crash-tolerance extension: informs this participant that a previously
-  /// crashed `peer` restarted. The peer stays excluded from the instances
-  /// it crashed out of (their engines remember), but its messages are
-  /// accepted again and it counts as a regular member of *new* instances.
+  /// crashed `peer` restarted. The peer stays excluded from every scope this
+  /// participant held when it learned of the crash, in every later round of
+  /// them too, but its messages are accepted again and it counts as a
+  /// regular member of scopes entered from now on (DESIGN.md §4b).
   void notify_peer_restarted(ObjectId peer);
 
   /// Crash-tolerance extension, restart side: invoked (by the World's node
@@ -368,6 +369,10 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   struct Dyn {
     const InstanceInfo* info = nullptr;
     EnterConfig config;
+    // Crashed members of this scope (extension), read by the engine of every
+    // round, the exit protocol and avoidance; declared first to outlive
+    // them. Seeded from crashed_ at enter(); grows only (DESIGN.md §4b).
+    std::set<ObjectId> excluded;
     std::unique_ptr<resolve::ResolverCore> engine;
     std::uint32_t round = 0;
     std::uint32_t attempt = 0;
@@ -380,7 +385,6 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
                              // §3.1): no raises, entries or completions
                              // from the superseded body until the handler
                              // completes the action
-    std::set<ObjectId> excluded;  // crashed members (extension)
     // The pluggable exit/commit protocol driving this scope's exit
     // (src/exit/): owns the Done collection state that used to be inlined
     // here. Created in enter(), retired (not destroyed) at pop_context.
@@ -547,7 +551,10 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   // context). Retired here instead of destroyed; swept at the next quiet
   // entry into this participant.
   std::vector<std::unique_ptr<exit::ExitProtocol>> retired_exits_;
-  std::set<ObjectId> crashed_;  // peers known to have crashed (extension)
+  // Peers known to have crashed (extension): filters their messages and
+  // seeds the exclusion set of scopes entered later. A restart erases the
+  // peer here, never from a scope's exclusion set.
+  std::set<ObjectId> crashed_;
   overlay::Disseminator overlay_;  // relay engine for tree-mode scopes
   bool overlay_ready_ = false;     // configure() ran (identity bound)
   std::optional<AbortChain> abort_chain_;

@@ -12,8 +12,7 @@ namespace caa {
 
 World::World(WorldConfig config)
     : config_(config),
-      network_(simulator_, config.seed),
-      actions_(groups_) {
+      network_(simulator_, config.seed) {
   actions_.set_overlay_defaults(config_.overlay);
   actions_.set_exit_defaults(config_.exit_protocol);
   actions_.set_exit_gc(config_.exit_gc);
@@ -94,8 +93,9 @@ void World::on_node_restarted(NodeId node) {
   // is idempotent, so nodes already notified by a heartbeat monitor or a
   // fault plan pay nothing); only then do the restarted node's participants
   // abandon the action state the crash wiped. Restarted objects stay
-  // excluded from the resolutions they crashed out of — they may only enter
-  // *new* action instances (Participant::on_restarted).
+  // excluded from the scopes they crashed out of, in every later round of
+  // them too — they may only enter *new* action instances
+  // (Participant::on_restarted, DESIGN.md §4b).
   for (const auto& victim : participants_) {
     if (victim->runtime().node() != node) continue;
     for (const auto& peer : participants_) {
@@ -108,9 +108,8 @@ void World::on_node_restarted(NodeId node) {
     if (victim->runtime().node() == node) victim->on_restarted();
   }
   // Re-admit the restarted objects: peers stop filtering their messages and
-  // count them as regular members of instances created from now on (their
-  // exclusion from in-flight resolutions is already locked into the
-  // per-instance engines).
+  // count them as regular members of scopes entered from now on (the scope
+  // exclusion sets they were struck into keep them out of those scopes).
   for (const auto& victim : participants_) {
     if (victim->runtime().node() != node) continue;
     for (const auto& peer : participants_) {

@@ -1,9 +1,8 @@
 // Nested exception contexts — the SA stack of §4.1.
 //
-// Entering a CA action pushes a context (the action's exception tree, this
-// participant's handler table for it, the action's communication group);
-// leaving or aborting pops it. The stack order *is* the nesting order used
-// for innermost-first abortion.
+// Entering a CA action pushes a context (the action's exception tree and
+// this participant's handler table for it); leaving or aborting pops it.
+// The stack order *is* the nesting order used for innermost-first abortion.
 #pragma once
 
 #include <functional>
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "ex/handler_table.h"
-#include "net/group.h"
 #include "util/ids.h"
 
 namespace caa::ex {
@@ -38,7 +36,6 @@ using AbortionHandler = std::function<AbortResult()>;
 struct Context {
   ActionInstanceId instance;
   ActionId action;
-  GroupId group;
   const ExceptionTree* tree = nullptr;
   const HandlerTable* handlers = nullptr;
   AbortionHandler abortion_handler;

@@ -1,8 +1,7 @@
 #include "exit/paxos_exit.h"
 
-#include <algorithm>
-
 #include "net/wire.h"
+#include "util/members.h"
 
 namespace caa::exit {
 
@@ -21,11 +20,9 @@ void put_value(net::WireWriter& w, bool waived, bool ok, ExceptionId signal) {
 
 PaxosCommitExit::PaxosCommitExit(ExitHost& host,
                                  const action::InstanceInfo& info)
-    : host_(host), info_(info) {
-  const std::size_t count = acceptor_count(info.members.size());
-  acceptors_.assign(info.members.begin(),
-                    info.members.begin() + static_cast<std::ptrdiff_t>(count));
-}
+    : host_(host),
+      info_(info),
+      acceptors_(info.members.data(), acceptor_count(info.members.size())) {}
 
 std::size_t PaxosCommitExit::acceptor_count(std::size_t members) {
   if (members <= 2) return members;
@@ -33,11 +30,8 @@ std::size_t PaxosCommitExit::acceptor_count(std::size_t members) {
 }
 
 bool PaxosCommitExit::is_acceptor(ObjectId o) const {
-  return std::binary_search(acceptors_.begin(), acceptors_.end(), o);
-}
-
-bool PaxosCommitExit::is_member(ObjectId o) const {
-  return std::binary_search(info_.members.begin(), info_.members.end(), o);
+  const std::optional<std::size_t> rank = rank_in(info_.members, o);
+  return rank.has_value() && *rank < acceptors_.size();
 }
 
 std::size_t PaxosCommitExit::live_acceptors() const {
@@ -53,9 +47,7 @@ std::uint32_t PaxosCommitExit::next_ballot() {
   // Proposer-unique ballots: leader ranks stride the ballot space modulo N,
   // with ballot 0 reserved for the voters' fast path.
   const auto n = static_cast<std::uint32_t>(info_.members.size());
-  const auto rank = static_cast<std::uint32_t>(
-      std::lower_bound(info_.members.begin(), info_.members.end(), self()) -
-      info_.members.begin());
+  const auto rank = static_cast<std::uint32_t>(*rank_in(info_.members, self()));
   std::uint32_t ballot = max_ballot_seen_ + 1;
   const std::uint32_t target = (rank + 1) % n;
   ballot += (target + n - (ballot % n)) % n;
@@ -95,7 +87,7 @@ void PaxosCommitExit::on_message(ObjectId from, net::MsgKind kind,
       }
       // Embedded ids name reply targets and quorum entries; only scope
       // members may appear (a garbage id must not reach the directory).
-      if (!is_member(ObjectId(voter.value()))) return;
+      if (!info_.is_member(ObjectId(voter.value()))) return;
       handle_vote(VoteMsg{info_.instance, round.value(), ballot.value(),
                           ObjectId(voter.value()),
                           Value{waived.value(), ok.value(),
@@ -112,8 +104,8 @@ void PaxosCommitExit::on_message(ObjectId from, net::MsgKind kind,
           !ok.is_ok() || !signal.is_ok()) {
         return;
       }
-      if (!is_member(ObjectId(acceptor.value())) ||
-          !is_member(ObjectId(voter.value()))) {
+      if (!info_.is_member(ObjectId(acceptor.value())) ||
+          !info_.is_member(ObjectId(voter.value()))) {
         return;
       }
       handle_accepted(AcceptedMsg{info_.instance, round.value(),
@@ -126,7 +118,7 @@ void PaxosCommitExit::on_message(ObjectId from, net::MsgKind kind,
     case net::MsgKind::kPaxosPrepare: {
       auto sender = r.u32();
       if (!sender.is_ok()) return;
-      if (!is_member(ObjectId(sender.value()))) return;
+      if (!info_.is_member(ObjectId(sender.value()))) return;
       handle_prepare(PrepareMsg{info_.instance, round.value(), ballot.value(),
                                 ObjectId(sender.value())});
       return;
@@ -135,7 +127,7 @@ void PaxosCommitExit::on_message(ObjectId from, net::MsgKind kind,
       auto acceptor = r.u32();
       auto count = r.u32();
       if (!acceptor.is_ok() || !count.is_ok()) return;
-      if (!is_member(ObjectId(acceptor.value()))) return;
+      if (!info_.is_member(ObjectId(acceptor.value()))) return;
       PromiseMsg m{info_.instance, round.value(), ballot.value(),
                    ObjectId(acceptor.value()), {}};
       for (std::uint32_t i = 0; i < count.value(); ++i) {
@@ -148,7 +140,7 @@ void PaxosCommitExit::on_message(ObjectId from, net::MsgKind kind,
             !ok.is_ok() || !signal.is_ok()) {
           return;
         }
-        if (!is_member(ObjectId(voter.value()))) return;
+        if (!info_.is_member(ObjectId(voter.value()))) return;
         m.accepted[ObjectId(voter.value())] =
             Accepted{aballot.value(), Value{waived.value(), ok.value(),
                                             ExceptionId(signal.value())}};

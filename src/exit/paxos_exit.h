@@ -31,6 +31,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 
 #include "exit/exit_protocol.h"
 
@@ -119,7 +120,6 @@ class PaxosCommitExit final : public ExitProtocol {
     bool decided = false;
   };
 
-  [[nodiscard]] bool is_member(ObjectId o) const;
   void handle_vote(const VoteMsg& m);
   void handle_accepted(const AcceptedMsg& m);
   void handle_prepare(const PrepareMsg& m);
@@ -147,7 +147,7 @@ class PaxosCommitExit final : public ExitProtocol {
 
   ExitHost& host_;
   const action::InstanceInfo& info_;
-  std::vector<ObjectId> acceptors_;  // first acceptor_count(N) members
+  std::span<const ObjectId> acceptors_;  // first acceptor_count(N) members
   std::optional<action::DoneMsg> last_done_;  // this member's current vote
   std::uint32_t max_ballot_seen_ = 0;
   std::map<std::uint32_t, AcceptorRound> acceptor_;  // by round

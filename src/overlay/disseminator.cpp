@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "util/check.h"
+#include "util/members.h"
 
 namespace caa::overlay {
 namespace {
@@ -72,14 +73,13 @@ void Disseminator::register_scope(ActionInstanceId scope,
                                   const std::set<ObjectId>& crashed) {
   CAA_CHECK_MSG(self_.valid(), "Disseminator: configure() before use");
   if (scopes_.contains(scope)) return;
+  CAA_CHECK_MSG(rank_in(members, self_).has_value(),
+                "Disseminator: object not a committee member");
   Scope s;
-  s.members = members;
+  s.members = &members;
   s.params = params;
   s.tree = RelayTree(members, std::max<std::uint32_t>(1, params.fanout));
-  for (ObjectId m : members) {
-    if (crashed.contains(m)) s.excluded.insert(m);
-  }
-  if (!s.excluded.empty()) s.tree.rebuild(s.excluded);
+  for (ObjectId peer : crashed) s.tree.exclude(peer);
   scopes_.emplace(scope, std::move(s));
 }
 
@@ -230,8 +230,8 @@ void Disseminator::send_ack(ActionInstanceId scope, std::uint32_t round,
     if (counters_ != nullptr) counters_->add(counter_ids().dead_target);
     return;
   }
-  AckBitmap bits((s.members.size() + 7) / 8, std::byte{0});
-  set_bit(bits, rank_of(s.members, self_));
+  AckBitmap bits((s.members->size() + 7) / 8, std::byte{0});
+  set_bit(bits, *rank_in(*s.members, self_));
   merge_ack(s.ack_cache, target, round, bits, /*count_merges=*/false);
   const ObjectId hop = s.tree.next_hop(self_, target);
   merge_ack(outbox_for(scope, s, hop).acks, target, round, bits,
@@ -422,10 +422,9 @@ void Disseminator::on_envelope(ObjectId from, const net::Bytes& payload) {
 void Disseminator::deliver_ack_bitmap(ActionInstanceId scope, const Scope& s,
                                       std::uint32_t round,
                                       const AckBitmap& bits) {
-  for (std::size_t rank = 0; rank < s.members.size(); ++rank) {
-    if (bit_set(bits, rank)) {
-      hooks_.deliver_ack(scope, round, s.members[rank]);
-    }
+  const std::vector<ObjectId>& members = *s.members;
+  for (std::size_t rank = 0; rank < members.size(); ++rank) {
+    if (bit_set(bits, rank)) hooks_.deliver_ack(scope, round, members[rank]);
   }
 }
 
@@ -439,14 +438,13 @@ Result<ActionInstanceId> Disseminator::peek_envelope_scope(
 
 void Disseminator::on_peer_crashed(ObjectId peer) {
   for (auto& [scope, s] : scopes_) {
-    if (!std::binary_search(s.members.begin(), s.members.end(), peer)) {
-      continue;
-    }
-    if (!s.excluded.insert(peer).second) continue;
+    // Exclusion only grows: a peer off the live layout is not a member or
+    // was excluded already.
+    if (!s.tree.contains(peer)) continue;
     const bool was_live = s.tree.contains(self_);
     const std::vector<ObjectId> before =
         was_live ? s.tree.neighbors_of(self_) : std::vector<ObjectId>{};
-    s.tree.rebuild(s.excluded);
+    s.tree.exclude(peer);
     // Anything queued for the dead peer is covered by the re-offers below
     // (floods by the new-neighbor cache replay, routes/acks by re-routing).
     s.outbox.erase(peer);
@@ -494,14 +492,6 @@ void Disseminator::on_peer_crashed(ObjectId peer) {
 void Disseminator::clear() {
   scopes_.clear();
   sync_backlog();
-}
-
-std::size_t Disseminator::rank_of(const std::vector<ObjectId>& members,
-                                  ObjectId member) {
-  const auto it = std::lower_bound(members.begin(), members.end(), member);
-  CAA_CHECK_MSG(it != members.end() && *it == member,
-                "Disseminator: object not a committee member");
-  return static_cast<std::size_t>(it - members.begin());
 }
 
 }  // namespace caa::overlay

@@ -27,10 +27,10 @@
 // latency a whole dissemination wave therefore costs one envelope per tree
 // edge instead of one packet per (origin, member) pair.
 //
-// Healing: when a member is reported crashed, the tree is recomputed from
-// the shared live list and every item this relay has cached is re-offered
-// to the neighbors the new tree added (new children re-parented from the
-// dead relay's subtree). Squelching and idempotent merges absorb the
+// Healing: when a member is reported crashed, it is removed from the live
+// tree layout and every item this relay has cached is re-offered to the
+// neighbors the new tree added (new children re-parented from the dead
+// relay's subtree). Squelching and idempotent merges absorb the
 // duplicates; coverage follows because a member either kept its parent
 // (and already holds the items its parent forwarded on a live edge) or was
 // re-parented (and receives the new parent's cache).
@@ -78,9 +78,10 @@ class Disseminator {
   void configure(ObjectId self, Hooks hooks, Counters* counters,
                  obs::HealthGauges* health = nullptr);
 
-  /// Starts serving `scope` over its deterministic tree. `crashed` seeds
-  /// the exclusion set so a late registrant computes the same live tree as
-  /// the survivors. No-op if already registered.
+  /// Starts serving `scope` over its deterministic tree. `members` (the
+  /// instance's shared list, read by reference) must outlive the scope;
+  /// the tree starts without `crashed`, so a late registrant computes the
+  /// same live tree as the survivors. No-op if already registered.
   void register_scope(ActionInstanceId scope,
                       const std::vector<ObjectId>& members,
                       const OverlayParams& params,
@@ -162,10 +163,9 @@ class Disseminator {
   };
 
   struct Scope {
-    std::vector<ObjectId> members;  // full committee, sorted (rank order)
+    const std::vector<ObjectId>* members = nullptr;  // shared, rank order
     OverlayParams params;
-    RelayTree tree;
-    std::set<ObjectId> excluded;
+    RelayTree tree;  // live layout; crashed members are excluded from it
     std::uint32_t next_seq = 0;           // this member's origin sequence
     std::unordered_set<std::uint64_t> seen;  // squelch: origin<<32 | seq
     // Relay caches for healing (bounded by params.heal_cache_limit).
@@ -195,8 +195,6 @@ class Disseminator {
                                                  std::uint32_t seq) {
     return (static_cast<std::uint64_t>(origin.value()) << 32) | seq;
   }
-  [[nodiscard]] static std::size_t rank_of(const std::vector<ObjectId>& members,
-                                           ObjectId member);
   /// Recounts queued outbox items across managed scopes and pushes the
   /// delta into the backlog gauge. O(tree neighbors); no counters touched.
   void sync_backlog();

@@ -4,26 +4,26 @@
 
 #include "util/check.h"
 #include "util/hash.h"
+#include "util/members.h"
 
 namespace caa::overlay {
 
-RelayTree::RelayTree(std::vector<ObjectId> members, std::uint32_t fanout)
-    : all_(std::move(members)), live_(all_), fanout_(fanout) {
+RelayTree::RelayTree(const std::vector<ObjectId>& members,
+                     std::uint32_t fanout)
+    : live_(members), fanout_(fanout) {
   CAA_CHECK_MSG(fanout_ >= 1, "RelayTree: fanout must be >= 1");
-  CAA_CHECK_MSG(std::is_sorted(all_.begin(), all_.end()),
+  CAA_CHECK_MSG(std::is_sorted(live_.begin(), live_.end()),
                 "RelayTree: members must be sorted");
 }
 
-void RelayTree::rebuild(const std::set<ObjectId>& excluded) {
-  live_.clear();
-  for (ObjectId m : all_) {
-    if (!excluded.contains(m)) live_.push_back(m);
+void RelayTree::exclude(ObjectId member) {
+  if (const auto pos = rank_in(live_, member); pos.has_value()) {
+    live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(*pos));
   }
 }
 
 bool RelayTree::contains(ObjectId member) const {
-  const auto it = std::lower_bound(live_.begin(), live_.end(), member);
-  return it != live_.end() && *it == member;
+  return rank_in(live_, member).has_value();
 }
 
 ObjectId RelayTree::root() const {
@@ -32,10 +32,9 @@ ObjectId RelayTree::root() const {
 }
 
 std::size_t RelayTree::position_of(ObjectId member) const {
-  const auto it = std::lower_bound(live_.begin(), live_.end(), member);
-  CAA_CHECK_MSG(it != live_.end() && *it == member,
-                "RelayTree: member not live");
-  return static_cast<std::size_t>(it - live_.begin());
+  const std::optional<std::size_t> pos = rank_in(live_, member);
+  CAA_CHECK_MSG(pos.has_value(), "RelayTree: member not live");
+  return *pos;
 }
 
 std::vector<ObjectId> RelayTree::neighbors_of(ObjectId member) const {

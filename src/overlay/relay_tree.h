@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "util/ids.h"
@@ -25,10 +24,12 @@ class RelayTree {
  public:
   RelayTree() = default;
   /// `members` must be sorted and duplicate-free (InstanceInfo order).
-  RelayTree(std::vector<ObjectId> members, std::uint32_t fanout);
+  RelayTree(const std::vector<ObjectId>& members, std::uint32_t fanout);
 
-  /// Recomputes the live layout from the full member list minus `excluded`.
-  void rebuild(const std::set<ObjectId>& excluded);
+  /// Removes `member` from the live layout (no-op when it is not live).
+  /// Exclusion only grows, so excluding members one at a time gives the
+  /// same tree as building one over the survivors.
+  void exclude(ObjectId member);
 
   [[nodiscard]] bool contains(ObjectId member) const;
   [[nodiscard]] std::size_t live_count() const { return live_.size(); }
@@ -52,8 +53,7 @@ class RelayTree {
  private:
   [[nodiscard]] std::size_t position_of(ObjectId member) const;
 
-  std::vector<ObjectId> all_;   // full committee, sorted
-  std::vector<ObjectId> live_;  // minus excluded; index = heap position
+  std::vector<ObjectId> live_;  // sorted live members; index = heap position
   std::uint32_t fanout_ = 8;
 };
 

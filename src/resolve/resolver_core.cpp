@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/check.h"
+#include "util/members.h"
 
 namespace caa::resolve {
 
@@ -18,12 +19,15 @@ std::string_view to_string(ResolverCore::State state) {
   return "?";
 }
 
-ResolverCore::ResolverCore(ObjectId self, std::vector<ObjectId> members,
+ResolverCore::ResolverCore(ObjectId self,
+                           const std::vector<ObjectId>& members,
+                           const std::set<ObjectId>& excluded,
                            const ex::ExceptionTree* tree,
                            ActionInstanceId scope, std::uint32_t round,
                            Hooks hooks, std::uint32_t committee)
     : self_(self),
-      members_(std::move(members)),
+      members_(members),
+      exclusions_(excluded),
       tree_(tree),
       scope_(scope),
       round_(round),
@@ -32,13 +36,10 @@ ResolverCore::ResolverCore(ObjectId self, std::vector<ObjectId> members,
   CAA_CHECK_MSG(tree_ != nullptr, "resolver needs an exception tree");
   CAA_CHECK_MSG(std::is_sorted(members_.begin(), members_.end()),
                 "members must be sorted (§4.1 ordering)");
-  CAA_CHECK_MSG(
-      std::binary_search(members_.begin(), members_.end(), self_),
-      "self must be a group member");
+  CAA_CHECK_MSG(rank_in(members_, self_).has_value(),
+                "self must be a group member");
   lo_state_.assign(members_.size(), kLoAbsent);
   acked_.assign(members_.size(), 0);
-  members_contiguous_ =
-      members_.back().value() - members_.front().value() == members_.size() - 1;
 }
 
 ResolverCore::~ResolverCore() {
@@ -73,7 +74,7 @@ void ResolverCore::sync_health() {
   std::int64_t awaited = 0;
   if (awaiting_acks_ && active != 0) {
     awaited = static_cast<std::int64_t>(members_.size() - 1 -
-                                        excluded_.size() - acks_live_);
+                                        exclusions_.size() - acks_live_);
   }
   if (awaited != acks_gauge_) {
     h->add(obs::Gauge::kResolveOutstandingAcks, awaited - acks_gauge_);
@@ -85,7 +86,7 @@ std::vector<ObjectId> ResolverCore::awaited_members() const {
   std::vector<ObjectId> waiting;
   for (std::size_t rank = 0; rank < members_.size(); ++rank) {
     const ObjectId member = members_[rank];
-    if (member == self_ || excluded_.contains(member)) continue;
+    if (member == self_ || exclusions_.contains(member)) continue;
     const bool ack_due = awaiting_acks_ && state_ != State::kHandling &&
                          acked_[rank] == 0;
     if (ack_due || lo_state_[rank] == kLoPending) waiting.push_back(member);
@@ -93,20 +94,10 @@ std::vector<ObjectId> ResolverCore::awaited_members() const {
   return waiting;
 }
 
-std::size_t ResolverCore::member_rank(ObjectId member) const {
-  // Scenario builders hand out consecutive object ids, so the common case is
-  // a contiguous sorted group where rank is a subtraction.
-  if (members_contiguous_) {
-    const std::size_t rank = member.value() - members_.front().value();
-    CAA_CHECK_MSG(member.value() >= members_.front().value() &&
-                      rank < members_.size(),
-                  "sender is not a group member");
-    return rank;
-  }
-  const auto it = std::lower_bound(members_.begin(), members_.end(), member);
-  CAA_CHECK_MSG(it != members_.end() && *it == member,
-                "sender is not a group member");
-  return static_cast<std::size_t>(it - members_.begin());
+std::size_t ResolverCore::rank(ObjectId member) const {
+  const std::optional<std::size_t> found = rank_in(members_, member);
+  CAA_CHECK_MSG(found.has_value(), "sender is not a group member");
+  return *found;
 }
 
 bool ResolverCore::tracing() const {
@@ -294,7 +285,7 @@ void ResolverCore::handle_exception(const ExceptionMsg& m) {
   // survivors it reached and survivors it missed have to agree. Replays of
   // messages queued during an abortion land here too, so the router's
   // from-crashed filter alone is not enough.
-  if (excluded_.contains(m.raiser) && !debug_keep_crashed_) {
+  if (exclusions_.contains(m.raiser) && !debug_keep_crashed_) {
     trace("exception from crashed member dropped",
           "O" + std::to_string(m.raiser.value()));
     return;
@@ -307,13 +298,13 @@ void ResolverCore::handle_exception(const ExceptionMsg& m) {
 
 void ResolverCore::handle_have_nested(const HaveNestedMsg& m) {
   CAA_CHECK(m.scope == scope_ && m.round == round_);
-  if (excluded_.contains(m.sender)) return;  // its completion is waived
+  if (exclusions_.contains(m.sender)) return;  // its completion is waived
   suspend_if_normal();
   // Not completed yet (unless NestedCompleted somehow already arrived, which
   // FIFO channels rule out; a kLoCompleted entry stays completed).
-  if (std::uint8_t& lo = lo_state_[member_rank(m.sender)]; lo == kLoAbsent) {
+  if (std::uint8_t& lo = lo_state_[rank(m.sender)]; lo == kLoAbsent) {
     lo = kLoPending;
-    if (!excluded_.contains(m.sender)) ++lo_pending_;
+    ++lo_pending_;
   }
   if (hooks_.purge_nested_from) hooks_.purge_nested_from(m.sender);
   if (tracing()) {
@@ -323,11 +314,10 @@ void ResolverCore::handle_have_nested(const HaveNestedMsg& m) {
 
 void ResolverCore::handle_nested_completed(const NestedCompletedMsg& m) {
   CAA_CHECK(m.scope == scope_ && m.round == round_);
-  if (excluded_.contains(m.sender)) return;  // signalled exception expunged
+  if (exclusions_.contains(m.sender)) return;  // signalled exception expunged
   suspend_if_normal();
-  if (std::uint8_t& lo = lo_state_[member_rank(m.sender)];
-      lo != kLoCompleted) {
-    if (lo == kLoPending && !excluded_.contains(m.sender)) --lo_pending_;
+  if (std::uint8_t& lo = lo_state_[rank(m.sender)]; lo != kLoCompleted) {
+    if (lo == kLoPending) --lo_pending_;
     lo = kLoCompleted;
   }
   send_ack(m.sender);
@@ -339,9 +329,9 @@ void ResolverCore::handle_nested_completed(const NestedCompletedMsg& m) {
 
 void ResolverCore::handle_ack(const AckMsg& m) {
   CAA_CHECK(m.scope == scope_ && m.round == round_);
-  if (std::uint8_t& acked = acked_[member_rank(m.sender)]; acked == 0) {
+  if (std::uint8_t& acked = acked_[rank(m.sender)]; acked == 0) {
     acked = 1;
-    if (m.sender != self_ && !excluded_.contains(m.sender)) ++acks_live_;
+    if (m.sender != self_ && !exclusions_.contains(m.sender)) ++acks_live_;
   }
   maybe_ready();
 }
@@ -352,7 +342,7 @@ void ResolverCore::handle_commit(const CommitMsg& m) {
   // reached pre-crash already applied (or hold) it and the CrashSync
   // barrier re-distributes it; members it missed must not apply a value
   // the rest never sees.
-  if (excluded_.contains(m.resolver)) {
+  if (exclusions_.contains(m.resolver)) {
     trace("commit from crashed member dropped",
           "O" + std::to_string(m.resolver.value()));
     return;
@@ -413,9 +403,9 @@ void ResolverCore::suspend_if_normal() {
 }
 
 bool ResolverCore::all_acks_received() const {
-  // excluded_ never holds self (exclude_member filters it), so the live
-  // member count needing ACKs is members-1 minus the excluded.
-  return acks_live_ >= members_.size() - 1 - excluded_.size();
+  // The exclusion set never holds self, so the live member count needing
+  // ACKs is members-1 minus the excluded.
+  return acks_live_ >= members_.size() - 1 - exclusions_.size();
 }
 
 bool ResolverCore::all_nested_completed() const { return lo_pending_ == 0; }
@@ -427,7 +417,7 @@ bool ResolverCore::self_in_committee() const {
   // objects that raised exceptions").
   std::uint32_t rank = 0;
   for (auto it = raisers_.rbegin(); it != raisers_.rend(); ++it) {
-    if (excluded_.contains(*it)) continue;
+    if (exclusions_.contains(*it)) continue;
     if (*it == self_) return rank < committee_;
     ++rank;
     if (rank >= committee_) return false;
@@ -437,7 +427,7 @@ bool ResolverCore::self_in_committee() const {
 
 bool ResolverCore::has_live_raiser() const {
   for (ObjectId raiser : raisers_) {
-    if (!excluded_.contains(raiser)) return true;
+    if (!exclusions_.contains(raiser)) return true;
   }
   return false;
 }
@@ -462,14 +452,12 @@ void ResolverCore::raise_from_suspended(ExceptionId exception) {
 }
 
 void ResolverCore::exclude_member(ObjectId peer) {
-  if (peer == self_ ||
-      !std::binary_search(members_.begin(), members_.end(), peer)) {
-    return;
-  }
-  if (!excluded_.insert(peer).second) return;
-  const std::size_t rank = member_rank(peer);
-  if (acked_[rank] != 0) --acks_live_;  // now counted via excluded_
-  if (lo_state_[rank] == kLoPending) --lo_pending_;
+  CAA_CHECK_MSG(peer != self_ && exclusions_.contains(peer),
+                "exclude_member(): record the exclusion first");
+  const std::size_t peer_rank = rank(peer);
+  // Its tallied ACK and pending completion now count via the exclusion set.
+  if (acked_[peer_rank] != 0) --acks_live_;
+  if (lo_state_[peer_rank] == kLoPending) --lo_pending_;
   // Expunge its exceptions from LE. Exclusion waives the crashed member's
   // ACK, so survivors stop agreeing on whether its in-flight Exception
   // messages are part of the round — the only consistent reading of the

@@ -22,8 +22,11 @@
 // context stack, lives in caa::Participant, which owns one engine per
 // context.) LO_i and LP_i are keyed by member rank in the sorted group list
 // rather than stored as node-based containers: the protocol touches them
-// once per incoming message, and a byte-per-member array costs a binary
-// search instead of a rb-tree allocation on that path.
+// once per incoming message, and a byte-per-member array costs a rank
+// lookup instead of a rb-tree allocation on that path. G_A and the crashed
+// members are not the engine's own: it reads the instance's member list and
+// its owner's per-scope exclusion set by reference, so the engine of every
+// round sees every exclusion the scope has recorded.
 #pragma once
 
 #include <cstdint>
@@ -85,7 +88,9 @@ class ResolverCore {
   };
 
   /// `members` must be the sorted participant list of the action (G_A),
-  /// including `self` — the §4.1 total order.
+  /// including `self` — the §4.1 total order. `excluded` is the owner's
+  /// set of crashed members of this scope (never `self`). Both must outlive
+  /// the engine.
   ///
   /// `committee` implements the paper's fault-tolerance extension ("the
   /// algorithm can be easily extended to the use of a group of objects that
@@ -95,7 +100,8 @@ class ResolverCore {
   /// suspension argument), so all commits carry the same resolved
   /// exception; receivers apply the first and drop the duplicates as
   /// stale. Cost: an extra (committee-1)(N-1) messages — a constant factor.
-  ResolverCore(ObjectId self, std::vector<ObjectId> members,
+  ResolverCore(ObjectId self, const std::vector<ObjectId>& members,
+               const std::set<ObjectId>& excluded,
                const ex::ExceptionTree* tree, ActionInstanceId scope,
                std::uint32_t round, Hooks hooks, std::uint32_t committee = 1);
 
@@ -103,15 +109,16 @@ class ResolverCore {
   /// was superseded by an outer resolution aborting the whole context).
   ~ResolverCore();
 
-  /// Crash-tolerance extension (fail-stop model): marks a group member as
-  /// crashed. The member no longer counts towards ACK completeness, its
-  /// pending nested completion is waived, and it is skipped when choosing
-  /// the resolving object(s). Exceptions it raised are expunged from LE and
-  /// later deliveries from it are ignored: survivors that received them and
-  /// survivors that did not must compute the same resolution, so only
-  /// live-raiser exceptions may contribute (a resolution the crashed member
-  /// already committed is preserved by the owner's CrashSync barrier, not
-  /// by LE).
+  /// Crash-tolerance extension (fail-stop model): `peer` has just been
+  /// added to the exclusion set. From then on the member no longer counts
+  /// towards ACK completeness, its pending nested completion is waived, and
+  /// it is skipped when choosing the resolving object(s); this call
+  /// corrects the ACK/LO tallies it already contributed to. Exceptions it
+  /// raised are expunged from LE and later deliveries from it are ignored:
+  /// survivors that received them and survivors that did not must compute
+  /// the same resolution, so only live-raiser exceptions may contribute (a
+  /// resolution the crashed member already committed is preserved by the
+  /// owner's CrashSync barrier, not by LE).
   void exclude_member(ObjectId peer);
 
   /// Crash-tolerance extension: while gated, this engine reaches Ready but
@@ -240,19 +247,18 @@ class ResolverCore {
   /// public entry point; a few integer ops, no counters touched.
   void sync_health();
 
-  /// Index of `member` in the sorted members_ list; contract violation if
-  /// the id is not a group member (the router only delivers group traffic).
-  [[nodiscard]] std::size_t member_rank(ObjectId member) const;
+  /// Rank of a group member; contract violation if the id is not one (the
+  /// router only delivers group traffic).
+  [[nodiscard]] std::size_t rank(ObjectId member) const;
 
   ObjectId self_;
-  std::vector<ObjectId> members_;  // sorted, includes self
+  const std::vector<ObjectId>& members_;  // G_A: sorted, includes self
+  const std::set<ObjectId>& exclusions_;  // crashed members (extension)
   const ex::ExceptionTree* tree_;
   ActionInstanceId scope_;
   std::uint32_t round_;
   Hooks hooks_;
   std::uint32_t committee_ = 1;
-  bool members_contiguous_ = false;  // ids consecutive: rank by subtraction
-  std::set<ObjectId> excluded_;  // crashed members (extension)
   bool debug_keep_crashed_ = false;  // test-only planted bug (DebugBugs)
 
   // LO_i entry lifecycle, indexed by member rank.

@@ -2,15 +2,19 @@
 // mid-action loses its volatile state; when it comes back up the World
 // notifies both directions — survivors learn of the crash (idempotent) and
 // re-admit the restarted objects, while the restarted objects abandon the
-// scopes the crash wiped. A restarted object never rejoins an in-flight
-// resolution (its exclusion is locked into the per-instance engines) but
-// participates in new action instances as a regular member.
+// scopes the crash wiped. A restarted object stays excluded from every scope
+// the survivors held when they learned of the crash, in every later round
+// of those scopes too (DESIGN.md §4b), but participates in new action
+// instances as a regular member.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "caa/world.h"
 #include "fault/chaos.h"
 #include "fault/injector.h"
 #include "fault/oracle.h"
+#include "overlay/params.h"
 #include "run/campaign.h"
 
 namespace caa {
@@ -137,6 +141,64 @@ TEST(FaultRestart, RestartedObjectIsReadmittedIntoNewActions) {
     EXPECT_FALSE(o->in_action());
     ASSERT_FALSE(o->handled().empty()) << o->name();
     EXPECT_EQ(o->handled().back().resolved, rw.decl->tree().find("boom"));
+  }
+}
+
+// A restart must not re-admit the peer into a scope it was excluded from:
+// the survivors' next round (a backward-recovery attempt here) still waives
+// its ACK. Flat and relay-tree dissemination alike.
+TEST(FaultRestart, SurvivorsResolveANewRoundAfterAPeerRestarts) {
+  for (const auto mode :
+       {overlay::OverlayParams::Mode::kFlat,
+        overlay::OverlayParams::Mode::kTree}) {
+    SCOPED_TRACE(mode == overlay::OverlayParams::Mode::kTree ? "tree"
+                                                             : "flat");
+    WorldConfig config;
+    config.reliable_transport = true;
+    config.overlay.mode = mode;
+    World w(config);
+    std::vector<Participant*> objects;
+    for (const char* name : {"O1", "O2", "O3", "O4"}) {
+      objects.push_back(&w.add_participant(name));
+    }
+    ex::ExceptionTree tree;
+    tree.declare("boom");
+    const action::ActionDecl& decl = w.actions().declare("A", std::move(tree));
+    std::vector<ObjectId> ids;
+    for (const Participant* o : objects) ids.push_back(o->id());
+    const auto& inst = w.actions().create_instance(decl, ids);
+    for (Participant* o : objects) {
+      ASSERT_TRUE(o->enter(
+          inst.instance,
+          EnterConfig::with(uniform_handlers(decl.tree(),
+                                             ex::HandlerResult::recovered(100)))
+              .retries(2)));
+    }
+    Participant* o2 = objects[1];
+    const NodeId victim = objects[3]->runtime().node();
+    w.at(500, [&w, victim] { fault::FaultInjector::crash_node(w, victim); });
+    w.at(800, [&w, victim] { w.network().set_node_up(victim, true); });
+    // Acceptance fails at the survivors: the barrier (which waives O4)
+    // restores attempt 1, a new round whose engines must still exclude O4.
+    for (int i = 0; i < 3; ++i) {
+      w.at(2000, [o = objects[i]] { o->complete(false); });
+    }
+    w.at(5000, [o2] { o2->raise("boom"); });
+    w.run();
+
+    const fault::OracleReport report = fault::check_invariants(w, {});
+    EXPECT_TRUE(report.ok()) << report.summary();
+    for (int i = 0; i < 3; ++i) {
+      const Participant& o = *objects[i];
+      const auto& handled = o.handled();
+      EXPECT_TRUE(std::any_of(handled.begin(), handled.end(),
+                              [&](const action::HandledRecord& r) {
+                                return r.instance == inst.instance &&
+                                       r.round == 1 &&
+                                       r.resolved == decl.tree().find("boom");
+                              }))
+          << o.name() << " never handled the attempt-1 resolution";
+    }
   }
 }
 

@@ -1,8 +1,7 @@
 // Unit tests of the network substrate: wire format, FIFO channels, latency,
-// fault injection, node crashes, reliable transport, group directory.
+// fault injection, node crashes, reliable transport.
 #include <gtest/gtest.h>
 
-#include "net/group.h"
 #include "net/network.h"
 #include "net/reliable_link.h"
 #include "net/wire.h"
@@ -204,19 +203,6 @@ TEST(ReliableTransport, SuppressesDuplicates) {
   }
   simulator.run_to_quiescence();
   EXPECT_EQ(delivered, 40);  // exactly once despite duplicates
-}
-
-TEST(GroupDirectory, CreateQueryDissolve) {
-  GroupDirectory groups;
-  const GroupId g = groups.create({ObjectId(3), ObjectId(1), ObjectId(2)});
-  EXPECT_TRUE(groups.exists(g));
-  // Members come back sorted (the §4.1 ordering).
-  EXPECT_EQ(groups.members(g),
-            (std::vector<ObjectId>{ObjectId(1), ObjectId(2), ObjectId(3)}));
-  EXPECT_TRUE(groups.is_member(g, ObjectId(2)));
-  EXPECT_FALSE(groups.is_member(g, ObjectId(9)));
-  groups.dissolve(g);
-  EXPECT_FALSE(groups.exists(g));
 }
 
 TEST(MessageKinds, Classification) {

@@ -64,11 +64,14 @@ TEST(RelayTree, FingerprintIsDeterministic) {
 }
 
 TEST(RelayTree, RebuildMatchesFreshTreeOverSurvivors) {
-  // Healing is recomputation: excluding members must land on exactly the
-  // tree a fresh construction over the survivors produces — including when
-  // the root itself dies.
+  // Healing is recomputation: excluding members one at a time, in any
+  // order, must land on exactly the tree a fresh construction over the
+  // survivors produces — including when the root itself dies. Excluding a
+  // member twice, or a non-member, changes nothing.
   RelayTree tree(make_members(20), 3);
-  tree.rebuild({ObjectId(0), ObjectId(7), ObjectId(13)});
+  for (int dead : {13, 0, 7, 13, 42}) {
+    tree.exclude(ObjectId(static_cast<std::uint64_t>(dead)));
+  }
   std::vector<ObjectId> survivors;
   for (int i = 0; i < 20; ++i) {
     if (i == 0 || i == 7 || i == 13) continue;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <set>
 
 #include "resolve/resolver_core.h"
 
@@ -21,6 +22,10 @@ struct Bus {
     net::Bytes payload;
   };
 
+  // The group list and exclusion set every engine reads by reference
+  // (nobody crashes on this bus). Declared first: they outlive the engines.
+  std::vector<ObjectId> members;
+  std::set<ObjectId> excluded;
   std::vector<std::unique_ptr<ResolverCore>> engines;
   std::deque<Wire> queue;
   std::vector<ExceptionId> handled;      // resolved per engine (by index)
@@ -32,7 +37,6 @@ struct Bus {
                std::uint32_t round = 0) {
     handled.assign(n, ExceptionId::invalid());
     aborted.assign(n, 0);
-    std::vector<ObjectId> members;
     for (std::size_t i = 0; i < n; ++i) members.push_back(ObjectId(i));
     for (std::size_t i = 0; i < n; ++i) {
       ResolverCore::Hooks hooks;
@@ -53,7 +57,7 @@ struct Bus {
         handled[i] = resolved;
       };
       engines.push_back(std::make_unique<ResolverCore>(
-          self, members, tree, scope, round, std::move(hooks)));
+          self, members, excluded, tree, scope, round, std::move(hooks)));
     }
   }
 

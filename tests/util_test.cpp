@@ -1,13 +1,15 @@
-// Unit tests for util: strong ids, status/result, RNG, interning, counters,
-// logging.
+// Unit tests for util: strong ids, member ranks, status/result, RNG,
+// interning, counters, logging.
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "caa/action_manager.h"
 #include "util/counters.h"
 #include "util/ids.h"
 #include "util/intern.h"
 #include "util/log.h"
+#include "util/members.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -39,6 +41,33 @@ TEST(StrongId, Hashable) {
   std::unordered_map<ObjectId, int> map;
   map[ObjectId(7)] = 42;
   EXPECT_EQ(map.at(ObjectId(7)), 42);
+}
+
+TEST(RankIn, InstanceMembersAreSortedRankedAndQueried) {
+  action::ActionManager manager;
+  ex::ExceptionTree tree;
+  tree.declare("e");
+  const action::ActionDecl& decl = manager.declare("A", std::move(tree));
+  const action::InstanceInfo& info = manager.create_instance(
+      decl, {ObjectId(3), ObjectId(1), ObjectId(2)});
+  // Members come back sorted (the §4.1 ordering).
+  EXPECT_EQ(info.members,
+            (std::vector<ObjectId>{ObjectId(1), ObjectId(2), ObjectId(3)}));
+  EXPECT_EQ(rank_in(info.members, ObjectId(1)), 0u);
+  EXPECT_EQ(rank_in(info.members, ObjectId(3)), 2u);
+  EXPECT_TRUE(info.is_member(ObjectId(2)));
+  EXPECT_FALSE(info.is_member(ObjectId(9)));
+  EXPECT_FALSE(info.is_member(ObjectId(0)));
+  EXPECT_FALSE(info.is_member(ObjectId::invalid()));
+
+  // A gapped list ranks by position; ids between or outside its members
+  // are not members (subtracting the first id would rank 4 as 2 here).
+  const std::vector<ObjectId> gapped{ObjectId(2), ObjectId(5), ObjectId(9)};
+  EXPECT_EQ(rank_in(gapped, ObjectId(5)), 1u);
+  EXPECT_EQ(rank_in(gapped, ObjectId(9)), 2u);
+  EXPECT_FALSE(rank_in(gapped, ObjectId(4)).has_value());
+  EXPECT_FALSE(rank_in(gapped, ObjectId(10)).has_value());
+  EXPECT_FALSE(rank_in({}, ObjectId(0)).has_value());
 }
 
 TEST(Status, OkByDefault) {

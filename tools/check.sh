@@ -127,6 +127,24 @@ if grep -nE 'managed_deliver|managed_drop|managed_in_flight|set_managed|explore:
 fi
 echo "participant is clean of scheduler-choice logic"
 
+# One member list and one exclusion set per scope: the resolution engine,
+# the relay-tree overlay and the relay tree read InstanceInfo::members and
+# the participant's per-scope exclusion set by reference (rank and
+# membership via rank_in in src/util/members.h). A by-value exclusion set,
+# a member-list copy or a private rank lookup regrowing in those files is a
+# second copy of a fact that must live in one place (copies that disagreed
+# once left survivors waiting for the ACK of a restarted peer).
+echo "==== membership grep gate =================================="
+if grep -nE 'std::set<ObjectId>[[:space:]]+[A-Za-z_]*(exclu|crash)|std::vector<ObjectId>[[:space:]]+[A-Za-z_]*(member|all_)[A-Za-z_]*[[:space:]]*[;,)={]|excluded_|rank_of|member_rank' \
+    src/resolve/resolver_core.h src/resolve/resolver_core.cpp \
+    src/overlay/disseminator.h src/overlay/disseminator.cpp \
+    src/overlay/relay_tree.h src/overlay/relay_tree.cpp; then
+  echo "a private member list, exclusion set or rank lookup is back" >&2
+  echo "(read InstanceInfo::members and the scope's exclusion set; rank via rank_in)" >&2
+  exit 1
+fi
+echo "engine, overlay and relay tree read the shared membership"
+
 # caa-inspect must keep decoding the committed dump format: render the
 # golden .caafr and diff against the golden rendering the tests pin.
 echo "==== caa-inspect golden decode ============================="
