@@ -20,9 +20,7 @@ using action::EnterConfig;
 using action::uniform_handlers;
 
 int main() {
-  WorldConfig wc;
-  wc.trace = true;
-  World world(wc);
+  World world;
   auto& supervisor = world.add_participant("supervisor");
   auto& robot = world.add_participant("robot");
   auto& press = world.add_participant("press");

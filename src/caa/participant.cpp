@@ -132,7 +132,6 @@ bool Participant::enter(ActionInstanceId instance, EnterConfig config) {
   // commit of a round this belated entrant missed entirely (its buffered
   // copy, if one was ever sent, is from-crashed traffic and void).
   for (ObjectId member : dyn.excluded) begin_crash_sync(instance, dyn, member);
-  trace("enter", info.decl->name());
   if (obs::Observability* o = observing()) {
     dyn.action_span =
         o->tracer().begin(id().value(), "action", info.decl->name(),
@@ -563,9 +562,6 @@ resolve::AvoidanceCoordinator& Participant::ensure_avoidance(
   hooks.schedule = [this, scope](sim::Time delay, std::function<void()> fn) {
     run_guarded(scope, delay, std::move(fn));
   };
-  hooks.trace = [this](std::string_view event, std::string detail) {
-    trace(event, std::move(detail));
-  };
   dyn.avoidance = std::make_unique<resolve::AvoidanceCoordinator>(
       id(), &dyn.info->members, &dyn.excluded, &dyn.info->decl->tree(), scope,
       dyn.info->avoidance_probe_delay, std::move(hooks),
@@ -607,12 +603,6 @@ resolve::ResolverCore::Hooks Participant::make_hooks(ActionInstanceId scope) {
   };
   hooks.purge_nested_from = [this](ObjectId peer) {
     purge_pending_from(peer);
-  };
-  hooks.trace = [this](std::string_view event, std::string detail) {
-    trace(event, std::move(detail));
-  };
-  hooks.trace_enabled = [this] {
-    return attached() && runtime().trace().enabled();
   };
   if (attached()) {
     hooks.obs = &runtime().simulator().obs();
@@ -754,10 +744,6 @@ void Participant::invoke_handler(ActionInstanceId scope, ExceptionId resolved,
     }
     const ex::HandlerResult result = handler(resolved);
     handled_.push_back(HandledRecord{scope, resolved_round, resolved, now()});
-    trace("handler ran",
-          d->info->decl->tree().name_of(resolved) +
-              (result.outcome == ex::HandlerOutcome::kSignal ? " -> signal"
-                                                             : " -> ok"));
     if (d->config.on_handler) d->config.on_handler(resolved);
     run_guarded(scope, result.duration, [this, scope, result, span] {
       Dyn* inner = find_dyn(scope);
@@ -814,9 +800,6 @@ void Participant::abort_step() {
   // innermost-first; only they may run in an aborted action).
   const ex::AbortResult result =
       ctx.abortion_handler ? ctx.abortion_handler() : ex::AbortResult::none();
-  trace("abortion handler",
-        dyn_.at(ctx.instance).info->decl->name() +
-            (result.signal.valid() ? " signalling" : ""));
   obs::SpanId abort_span = obs::SpanId::invalid();
   if (obs::Observability* o = observing()) {
     abort_span = o->tracer().begin(
@@ -885,8 +868,6 @@ void Participant::complete_internal(ActionInstanceId scope, bool ok,
   dyn->done_sent = true;
   dyn->handling = false;  // handler (if any) has completed the action part
   DoneMsg m{scope, dyn->round, id(), ok, signal};
-  trace("done", std::string(ok ? "ok" : "acceptance-failed") +
-                    (signal.valid() ? " +signal" : ""));
   if (obs::Observability* o = observing()) {
     dyn->barrier_span = o->tracer().begin(
         id().value(), "barrier", "barrier r" + std::to_string(dyn->round),
@@ -970,7 +951,6 @@ void Participant::apply_leave(const LeaveMsg& m) {
       if (dyn->config.on_leave) {
         dyn->config.on_leave(m.outcome, ExceptionId::invalid());
       }
-      trace("leave committed", info.decl->name());
       if (dyn->action_span.valid()) {
         obs::Tracer& tracer = runtime().simulator().obs().tracer();
         tracer.end(dyn->barrier_span);
@@ -983,7 +963,6 @@ void Participant::apply_leave(const LeaveMsg& m) {
     case LeaveOutcome::kSignalled: {
       if (leader && dyn->config.on_abort) dyn->config.on_abort();
       if (dyn->config.on_leave) dyn->config.on_leave(m.outcome, m.signal);
-      trace("leave signalled", info.decl->name());
       if (dyn->action_span.valid()) {
         obs::Tracer& tracer = runtime().simulator().obs().tracer();
         tracer.end(dyn->barrier_span);
@@ -1018,7 +997,6 @@ void Participant::apply_leave(const LeaveMsg& m) {
       if (dyn->config.on_leave) {
         dyn->config.on_leave(m.outcome, ExceptionId::invalid());
       }
-      trace("restore attempt", std::to_string(m.attempt));
       if (dyn->barrier_span.valid()) {
         obs::Tracer& tracer = runtime().simulator().obs().tracer();
         tracer.end_args(dyn->barrier_span, "restored");
@@ -1249,10 +1227,6 @@ LeaveMsg Participant::exit_decide(ActionInstanceId scope, std::uint32_t round,
 
 void Participant::exit_deliver_leave(const LeaveMsg& m) { apply_leave(m); }
 
-void Participant::exit_trace(std::string_view event, std::string detail) {
-  trace(event, std::move(detail));
-}
-
 void Participant::notify_peer_crashed(ObjectId peer) {
   if (peer == id()) return;
   if (!crashed_.insert(peer).second) return;  // already known
@@ -1261,7 +1235,6 @@ void Participant::notify_peer_crashed(ObjectId peer) {
   // Heal the relay trees first: the re-announcements below must travel the
   // repaired topology, not through the dead relay.
   if (overlay_ready_) overlay_.on_peer_crashed(peer);
-  trace("peer crashed", "O" + std::to_string(peer.value()));
   for (std::size_t depth = 0; depth < contexts_.size(); ++depth) {
     const ActionInstanceId instance = contexts_.at(depth).instance;
     Dyn& dyn = dyn_.at(instance);
@@ -1269,7 +1242,7 @@ void Participant::notify_peer_crashed(ObjectId peer) {
     // Avoidance first: any census aborts and suppressed raises replay into
     // the engine NOW, so the CrashSync barrier and the exit protocol's
     // decide re-evaluation below see settled (engine-held) state.
-    if (dyn.avoidance != nullptr) dyn.avoidance->on_peer_crashed(peer);
+    if (dyn.avoidance != nullptr) dyn.avoidance->on_peer_crashed();
     const ObjectId old_leader = live_leader(dyn);
     // Barrier before exclusion: the gate must be on before exclude_member's
     // readiness re-check, or this object could commit from its own partial
@@ -1382,9 +1355,6 @@ void Participant::begin_crash_sync(ActionInstanceId scope, Dyn& dyn,
   }
   if (dyn.sync_waiting.empty()) return;  // sole survivor: nothing to learn
   dyn.engine->set_commit_gate(true);
-  trace("crash sync begins",
-        "O" + std::to_string(crashed.value()) + ", waiting on " +
-            std::to_string(dyn.sync_waiting.size()));
   const net::Bytes payload = resolve::encode(
       sync_status(dyn, scope, crashed, resolve::CrashSyncMsg::Phase::kPush));
   for (ObjectId member : live) {
@@ -1397,7 +1367,6 @@ void Participant::crash_sync_heard(ActionInstanceId scope, Dyn& dyn,
                                    ObjectId from) {
   if (dyn.sync_waiting.erase(from) == 0) return;
   if (!dyn.sync_waiting.empty()) return;
-  trace("crash sync complete");
   dyn.engine->set_commit_gate(false);
   maybe_promote(scope);
 }
@@ -1460,7 +1429,6 @@ void Participant::on_crash_sync(ObjectId from, const net::Bytes& payload) {
 void Participant::notify_peer_restarted(ObjectId peer) {
   if (peer == id()) return;
   if (crashed_.erase(peer) == 0) return;
-  trace("peer restarted", "O" + std::to_string(peer.value()));
   // Scope exclusions stay (DESIGN.md §4b): the peer lost its volatile state
   // for those actions. Only the from-crashed message filter and the seed
   // for scopes entered from now on forget it.
@@ -1479,7 +1447,6 @@ void Participant::on_restarted() {
   obs::FlightRecorder& recorder = runtime().simulator().obs().recorder();
   while (in_action()) {
     const ActionInstanceId scope = contexts_.active().instance;
-    trace("restart abandons", dyn_.at(scope).info->decl->name());
     abandoned_.insert(scope);
     runtime().simulator().counters().add(kCounterRestartAbandoned);
     if (recorder.enabled()) {
@@ -1508,13 +1475,6 @@ void Participant::run_guarded(ActionInstanceId scope, sim::Time delay,
     if (!is_live(scope)) return;  // the action was aborted meanwhile
     fn();
   });
-}
-
-void Participant::trace(std::string_view event, std::string detail) {
-  if (!attached()) return;
-  sim::TraceLog& log = runtime().trace();
-  if (!log.enabled()) return;
-  log.record(now(), "resolve", std::string(event), name(), std::move(detail));
 }
 
 obs::Observability* Participant::observing() const {

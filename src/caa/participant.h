@@ -507,7 +507,6 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
                                      const std::vector<DoneMsg>& dones)
       override;
   void exit_deliver_leave(const LeaveMsg& m) override;
-  void exit_trace(std::string_view event, std::string detail) override;
 
   // Helpers.
   [[nodiscard]] std::unique_ptr<resolve::ResolverCore> make_engine(
@@ -518,7 +517,6 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   [[nodiscard]] bool is_live(ActionInstanceId scope) const;
   void run_guarded(ActionInstanceId scope, sim::Time delay,
                    std::function<void()> fn);
-  void trace(std::string_view event, std::string detail = {});
   /// The observability hub when attached AND enabled, else nullptr — the
   /// one branch every instrumentation site pays.
   [[nodiscard]] obs::Observability* observing() const;

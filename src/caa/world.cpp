@@ -21,7 +21,6 @@ World::World(WorldConfig config)
   actions_.set_debug_bugs(config_.debug_bugs);
   network_.set_default_link(config_.link);
   network_.set_managed(config_.managed_network);
-  trace_.enable(config_.trace);
   simulator_.obs().set_enabled(config_.observe);
   obs::FlightRecorder& recorder = simulator_.obs().recorder();
   recorder.set_enabled(config_.flight_recorder);
@@ -147,10 +146,8 @@ NodeId World::add_node() {
   } else {
     transport = std::make_unique<net::DirectTransport>(network_, node);
   }
-  auto runtime = std::make_unique<rt::Runtime>(simulator_, directory_, node,
-                                               std::move(transport));
-  runtime->set_trace(&trace_);
-  runtimes_.push_back(std::move(runtime));
+  runtimes_.push_back(std::make_unique<rt::Runtime>(
+      simulator_, directory_, node, std::move(transport)));
   return node;
 }
 

@@ -25,7 +25,6 @@
 #include "overlay/params.h"
 #include "rt/runtime.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 
 namespace caa {
 
@@ -36,8 +35,6 @@ struct WorldConfig {
   /// Required when `link` has non-zero loss.
   bool reliable_transport = false;
   net::ReliableTransport::Options reliable;
-  /// Record flat protocol narratives in trace() (tests assert on them).
-  bool trace = false;
   /// Enable structured observability: spans (action / round / abort /
   /// barrier / txn), per-round protocol tallies, histograms. Off by
   /// default — disabled runs record nothing and pay one branch per site.
@@ -107,7 +104,6 @@ class World {
   [[nodiscard]] net::Network& network() { return network_; }
   [[nodiscard]] rt::Directory& directory() { return directory_; }
   [[nodiscard]] action::ActionManager& actions() { return actions_; }
-  [[nodiscard]] sim::TraceLog& trace() { return trace_; }
 
   // ---- Observability / accounting -------------------------------------
   // One facade for everything measured: message tallies by kind, typed
@@ -208,7 +204,6 @@ class World {
   net::Network network_;
   rt::Directory directory_;
   action::ActionManager actions_;
-  sim::TraceLog trace_;
   std::vector<std::unique_ptr<rt::Runtime>> runtimes_;
   std::vector<std::unique_ptr<action::Participant>> participants_;
   std::vector<Failure> failures_;

@@ -85,8 +85,6 @@ class ExitHost {
       const std::vector<action::DoneMsg>& dones) = 0;
   /// Applies a Leave locally (commit/signal/restore choreography).
   virtual void exit_deliver_leave(const action::LeaveMsg& m) = 0;
-
-  virtual void exit_trace(std::string_view event, std::string detail) = 0;
 };
 
 /// One protocol instance drives one participant's view of one scope's exit.

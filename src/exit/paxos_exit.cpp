@@ -405,9 +405,6 @@ void PaxosCommitExit::start_prepare(std::uint32_t round) {
   l.preparing = true;
   l.promised.clear();
   l.proposed.clear();
-  host_.exit_trace("paxos prepare",
-                   "r" + std::to_string(round) + " b" +
-                       std::to_string(l.my_ballot));
   net::WireWriter w;
   w.u64(info_.instance.value());
   w.u32(round);

@@ -8,6 +8,7 @@
 #include "fault/injector.h"
 #include "fault/oracle.h"
 #include "fault/repro.h"
+#include "obs/causal.h"
 
 namespace caa::fault {
 namespace {
@@ -59,7 +60,6 @@ run::WorldResult run_chaos_trial(std::uint64_t trial_seed,
   WorldConfig config;
   config.link = net::LinkParams::lan();
   config.seed = trial_seed;
-  config.trace = options.trace;
   config.reliable_transport = true;
   // Give-up horizon rto * max_retries = 12000 ticks: even a worst-case
   // chain of every generated outage window on one channel pair (5 windows
@@ -135,7 +135,12 @@ run::WorldResult run_chaos_trial(std::uint64_t trial_seed,
                      return w.simulator().run_until(options.deadline);
                    });
 
-  if (trace_log != nullptr) *trace_log = w.trace().to_string();
+  if (trace_log != nullptr) {
+    for (const obs::FlightRecord& rec : w.recorder().snapshot()) {
+      *trace_log += obs::format_record(rec);
+      *trace_log += '\n';
+    }
+  }
   // run_until bypasses World::run, so close the watchdog here: any scope
   // still open at the deadline is a stall worth explaining.
   w.watchdog().finish(w.simulator().now());

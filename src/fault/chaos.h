@@ -44,8 +44,6 @@ struct ChaosOptions {
   /// Shrink failing plans in the campaign post-pass.
   bool shrink = true;
   ShrinkOptions shrink_options;
-  /// Record the flat protocol narrative (debug replays; slows trials).
-  bool trace = false;
   /// Overlay dissemination stamped onto every trial world: Mode::kTree
   /// runs the whole fault mix — including relay crashes mid-broadcast —
   /// over the relay tree instead of the flat fan-out.
@@ -90,10 +88,11 @@ struct ChaosReport {
 /// oracle violation the result is !ok with the summary in .error and the
 /// plan text in .artifact. When `critical_path` is non-null and the trial
 /// fails, it receives the flight recorder's per-action critical-path
-/// report. When `trace_log` is non-null and options.trace is set, it
-/// receives the world's full protocol narrative. When `watchdog_report` is
-/// non-null and options.watchdog_deadline armed the watchdog, it receives
-/// every stall diagnosis the trial produced ("" when none).
+/// report. When `trace_log` is non-null, it receives the world's retained
+/// flight records, one obs::format_record line each (the caa-inspect
+/// rendering). When `watchdog_report` is non-null and
+/// options.watchdog_deadline armed the watchdog, it receives every stall
+/// diagnosis the trial produced ("" when none).
 [[nodiscard]] run::WorldResult run_chaos_trial(
     std::uint64_t trial_seed, const FaultPlan& plan,
     const ChaosOptions& options, std::size_t index = 0,

@@ -218,7 +218,7 @@ void FlightRecorder::arm_crash_dump(std::string dir, std::uint64_t seed,
   t_crash.dir = std::move(dir);
   t_crash.seed = seed;
   t_crash.world_index = world_index;
-  detail::check_failure_hook() = &crash_dump_check_hook;
+  detail::check_failure_hook().store(&crash_dump_check_hook);
 }
 
 void FlightRecorder::disarm_crash_dump() { t_crash.armed = false; }

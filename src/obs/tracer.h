@@ -1,7 +1,7 @@
 // Span-based structured tracing on the simulator's virtual clock.
 //
-// Where sim::TraceLog records a flat narrative of protocol events (and tests
-// pin its exact fingerprint), the Tracer records *intervals*: an action's
+// Where the FlightRecorder (obs/flight_recorder.h) keeps the typed stream
+// of protocol events, the Tracer records *intervals*: an action's
 // lifetime at a participant, each resolution round, every abortion handler,
 // the exit barrier, a transaction's commit/abort. Spans carry the virtual
 // begin/end time and a track (one per participant object), which is exactly

@@ -68,10 +68,6 @@ std::size_t AvoidanceCoordinator::live_members() const {
   return live;
 }
 
-void AvoidanceCoordinator::trace(std::string_view event, std::string detail) {
-  if (hooks_.trace) hooks_.trace(event, std::move(detail));
-}
-
 bool AvoidanceCoordinator::try_fast_raise(ExceptionId exception,
                                           std::string&& message) {
   // Classification: the raise commutes when its whole concurrent
@@ -91,8 +87,6 @@ bool AvoidanceCoordinator::try_fast_raise(ExceptionId exception,
   pending_message_ = std::move(message);
   pending_round_ = hooks_.round();
   if (counters_ != nullptr) counters_->add(kCounterFastRaises);
-  trace("fast raise", tree_->name_of(exception) + " cover " +
-                          tree_->name_of(cover));
 
   const ObjectId leader = hooks_.live_leader();
   if (leader == self_) {
@@ -169,14 +163,14 @@ void AvoidanceCoordinator::decide() {
   // action cannot wake from a fast commit without the HaveNested/abortion
   // machinery the census skipped.
   if (!pending_ && !hooks_.answer_idle()) {
-    fall_back_census("leader busy");
+    fall_back_census();
     return;
   }
   std::vector<ExceptionId> raised;
   std::vector<ExceptionId> covers;
   for (const auto& [member, entry] : census_) {
     if (entry.kind == Entry::Kind::kBusy) {
-      fall_back_census("member busy");
+      fall_back_census();
       return;
     }
     if (entry.kind == Entry::Kind::kRaise) {
@@ -196,7 +190,7 @@ void AvoidanceCoordinator::decide() {
   }
   for (const ExceptionId cover : covers) {
     if (!cover.valid() || cover != covers.front()) {
-      fall_back_census("cover mismatch");
+      fall_back_census();
       return;
     }
   }
@@ -217,8 +211,6 @@ void AvoidanceCoordinator::decide() {
                    static_cast<std::int64_t>(tree_->join_misses() - misses0));
     counters_->add(kCounterFastCommits);
   }
-  trace("fast commit", tree_->name_of(resolved) + " from " +
-                           std::to_string(raised.size()) + " raise(s)");
   census_.clear();
   pending_ = false;  // the suppressed raise is subsumed by this commit
   promised_.reset();
@@ -235,10 +227,9 @@ void AvoidanceCoordinator::decide() {
   sync_health();
 }
 
-void AvoidanceCoordinator::fall_back_census(std::string_view reason) {
+void AvoidanceCoordinator::fall_back_census() {
   census_active_ = false;
   census_.clear();
-  trace("census fallback", std::string(reason));
   if (counters_ != nullptr) counters_->add(kCounterFallbacks);
   hooks_.multicast(make(FastCoverMsg::Phase::kFallback, ExceptionId::invalid(),
                         ExceptionId::invalid(), census_round_));
@@ -258,7 +249,6 @@ void AvoidanceCoordinator::replay_suppressed() {
     if (counters_ != nullptr) counters_->add(kCounterStale);
     return;
   }
-  trace("replay raise", tree_->name_of(pending_exception_));
   hooks_.replay_raise(pending_exception_, std::move(pending_message_));
 }
 
@@ -269,19 +259,17 @@ void AvoidanceCoordinator::on_slow_traffic() {
     // state observes it and unwinds locally — no broadcast needed.
     census_active_ = false;
     census_.clear();
-    trace("census superseded", "slow exchange");
     if (counters_ != nullptr) counters_->add(kCounterFallbacks);
   }
   replay_suppressed();
   sync_health();
 }
 
-void AvoidanceCoordinator::on_peer_crashed(ObjectId peer) {
+void AvoidanceCoordinator::on_peer_crashed() {
   promised_.reset();
   if (census_active_) {
     census_active_ = false;
     census_.clear();
-    trace("census aborted", "O" + std::to_string(peer.value()) + " crashed");
     if (counters_ != nullptr) counters_->add(kCounterFallbacks);
   }
   replay_suppressed();

@@ -85,8 +85,6 @@ class AvoidanceCoordinator {
     std::function<void(ExceptionId, std::string)> replay_raise;
     /// Guarded scheduling (maps to ManagedObject::schedule_after).
     std::function<void(sim::Time delay, std::function<void()> fn)> schedule;
-    /// Optional trace callback (event, detail).
-    std::function<void(std::string_view, std::string)> trace;
   };
 
   /// `probe_delay` is how long the leader lets reports land before probing
@@ -137,7 +135,7 @@ class AvoidanceCoordinator {
   /// commutative and the leader may be the victim. Suppressed raises
   /// replay; an already-multicast census commit survives through the
   /// owner's CrashSync barrier (last_commit redistribution).
-  void on_peer_crashed(ObjectId peer);
+  void on_peer_crashed();
 
   /// The round finished (any path): census, promise and suppressed-raise
   /// state for it is void.
@@ -170,14 +168,13 @@ class AvoidanceCoordinator {
   void maybe_decide();
   void send_probes();
   void decide();
-  void fall_back_census(std::string_view reason);
+  void fall_back_census();
   void replay_suppressed();
   void handle_commit(const FastCoverMsg& m);
   [[nodiscard]] net::Bytes make(FastCoverMsg::Phase phase,
                                 ExceptionId exception, ExceptionId cover,
                                 std::uint32_t round) const;
   [[nodiscard]] std::size_t live_members() const;
-  void trace(std::string_view event, std::string detail = {});
   /// Re-derives the census-open gauge contribution and pushes the delta.
   void sync_health();
 

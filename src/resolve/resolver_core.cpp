@@ -100,15 +100,6 @@ std::size_t ResolverCore::rank(ObjectId member) const {
   return *found;
 }
 
-bool ResolverCore::tracing() const {
-  if (!hooks_.trace) return false;
-  return !hooks_.trace_enabled || hooks_.trace_enabled();
-}
-
-void ResolverCore::trace(std::string_view event, std::string detail) {
-  if (tracing()) hooks_.trace(event, std::move(detail));
-}
-
 void ResolverCore::record_flight(obs::RecType type, std::uint32_t code) {
   if (hooks_.obs == nullptr) return;
   obs::FlightRecorder& recorder = hooks_.obs->recorder();
@@ -143,7 +134,6 @@ void ResolverCore::raise(ExceptionId exception, std::string message) {
   record_flight(obs::RecType::kRaise, exception.value());
   record_exception(exception, self_, std::move(message));
   awaiting_acks_ = true;
-  trace("raise", tree_->name_of(exception));
   hooks_.multicast(net::MsgKind::kException,
                    encode(ExceptionMsg{scope_, round_, self_, exception}));
   note_send(net::MsgKind::kException,
@@ -165,7 +155,6 @@ void ResolverCore::on_trigger_while_nested(
   state_ = State::kAborting;
   begin_round_span();
   record_flight(obs::RecType::kState, static_cast<std::uint32_t>(state_));
-  trace("state N->aborting");
   hooks_.multicast(net::MsgKind::kHaveNested,
                    encode(HaveNestedMsg{scope_, round_, self_}));
   note_send(net::MsgKind::kHaveNested,
@@ -199,11 +188,9 @@ void ResolverCore::abort_finished(ExceptionId signalled) {
     state_ = State::kExceptional;
     record_flight(obs::RecType::kRaise, signalled.value());
     record_exception(signalled, self_, "signalled by abortion handler");
-    trace("abort done, signalling", tree_->name_of(signalled));
   } else {
     state_ = State::kSuspended;
     record_flight(obs::RecType::kState, static_cast<std::uint32_t>(state_));
-    trace("abort done, nothing signalled");
   }
   // Replay messages that arrived during the abortion.
   std::vector<AnyMsg> queued = std::move(queued_);
@@ -285,11 +272,7 @@ void ResolverCore::handle_exception(const ExceptionMsg& m) {
   // survivors it reached and survivors it missed have to agree. Replays of
   // messages queued during an abortion land here too, so the router's
   // from-crashed filter alone is not enough.
-  if (exclusions_.contains(m.raiser) && !debug_keep_crashed_) {
-    trace("exception from crashed member dropped",
-          "O" + std::to_string(m.raiser.value()));
-    return;
-  }
+  if (exclusions_.contains(m.raiser) && !debug_keep_crashed_) return;
   suspend_if_normal();
   record_exception(m.exception, m.raiser);
   send_ack(m.raiser);
@@ -307,9 +290,6 @@ void ResolverCore::handle_have_nested(const HaveNestedMsg& m) {
     ++lo_pending_;
   }
   if (hooks_.purge_nested_from) hooks_.purge_nested_from(m.sender);
-  if (tracing()) {
-    trace("have_nested from", "O" + std::to_string(m.sender.value()));
-  }
 }
 
 void ResolverCore::handle_nested_completed(const NestedCompletedMsg& m) {
@@ -342,11 +322,7 @@ void ResolverCore::handle_commit(const CommitMsg& m) {
   // reached pre-crash already applied (or hold) it and the CrashSync
   // barrier re-distributes it; members it missed must not apply a value
   // the rest never sees.
-  if (exclusions_.contains(m.resolver)) {
-    trace("commit from crashed member dropped",
-          "O" + std::to_string(m.resolver.value()));
-    return;
-  }
+  if (exclusions_.contains(m.resolver)) return;
   pending_commit_ = m;
   if (state_ == State::kSuspended || state_ == State::kReady) {
     finish(m);
@@ -398,7 +374,6 @@ void ResolverCore::suspend_if_normal() {
     state_ = State::kSuspended;
     begin_round_span();
     record_flight(obs::RecType::kState, static_cast<std::uint32_t>(state_));
-    trace("state N->S");
   }
 }
 
@@ -442,7 +417,6 @@ void ResolverCore::raise_from_suspended(ExceptionId exception) {
   record_flight(obs::RecType::kRaise, exception.value());
   record_exception(exception, self_, "raiser crashed; survivor promoted");
   awaiting_acks_ = true;
-  trace("raise (promoted from S)", tree_->name_of(exception));
   hooks_.multicast(net::MsgKind::kException,
                    encode(ExceptionMsg{scope_, round_, self_, exception}));
   note_send(net::MsgKind::kException,
@@ -468,7 +442,6 @@ void ResolverCore::exclude_member(ObjectId peer) {
       return e.raised_by == peer;
     });
   }
-  trace("member excluded (crash)", "O" + std::to_string(peer.value()));
   maybe_ready();
   sync_health();
 }
@@ -476,7 +449,6 @@ void ResolverCore::exclude_member(ObjectId peer) {
 void ResolverCore::set_commit_gate(bool gated) {
   if (commit_gated_ == gated) return;
   commit_gated_ = gated;
-  trace(gated ? "commit gate on (crash sync)" : "commit gate off");
   if (!gated) maybe_ready();
   sync_health();
 }
@@ -499,7 +471,6 @@ void ResolverCore::maybe_ready() {
   }
   state_ = State::kReady;
   record_flight(obs::RecType::kState, static_cast<std::uint32_t>(state_));
-  trace("state X->R");
   ready_actions();
 }
 
@@ -517,7 +488,6 @@ void ResolverCore::ready_actions() {
     ids.reserve(le_.size());
     for (const auto& e : le_) ids.push_back(e.id);
     const ExceptionId resolved = tree_->resolve(ids);
-    trace("resolving as chosen object", tree_->name_of(resolved));
     hooks_.multicast(net::MsgKind::kCommit,
                      encode(CommitMsg{scope_, round_, self_, resolved}));
     note_send(net::MsgKind::kCommit,
@@ -539,10 +509,6 @@ void ResolverCore::finish(const CommitMsg& m) {
     hooks_.obs->tracer().end_args(round_span_,
                                   "resolved " + tree_->name_of(m.resolved));
     round_span_ = obs::SpanId::invalid();
-  }
-  if (tracing()) {
-    trace("commit", tree_->name_of(m.resolved) + " from O" +
-                        std::to_string(m.resolver.value()));
   }
   // §4.2: "empty LE_i, LO_i, LP_i; start handler for E".
   le_.clear();

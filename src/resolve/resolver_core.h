@@ -71,13 +71,6 @@ class ResolverCore {
     /// HaveNested, so its buffered messages scoped to nested actions are
     /// obsolete.
     std::function<void(ObjectId peer)> purge_nested_from;
-    /// Optional trace callback (event, detail).
-    std::function<void(std::string_view, std::string)> trace;
-    /// Optional cheap probe: is tracing actually recording right now? The
-    /// engine consults it before building detail strings on per-message
-    /// paths, so an installed-but-disabled trace sink costs nothing. When
-    /// unset, an installed `trace` callback counts as enabled.
-    std::function<bool()> trace_enabled;
     /// Optional observability hub. When set and enabled, the engine opens a
     /// span per resolution round on `obs_track` and tabulates its protocol
     /// sends per (scope, round, kind) for the §4.4 run report. Guarded by
@@ -233,8 +226,6 @@ class ResolverCore {
   /// commit gate is on — self-resolve when this object is in the committee.
   void ready_actions();
   void finish(const CommitMsg& m);
-  [[nodiscard]] bool tracing() const;
-  void trace(std::string_view event, std::string detail = {});
 
   [[nodiscard]] bool all_acks_received() const;
   [[nodiscard]] bool all_nested_completed() const;

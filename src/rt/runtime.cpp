@@ -13,8 +13,7 @@ Runtime::Runtime(sim::Simulator& simulator, Directory& directory, NodeId node,
     : simulator_(simulator),
       directory_(directory),
       node_(node),
-      transport_(std::move(transport)),
-      trace_(&null_trace_) {
+      transport_(std::move(transport)) {
   CAA_CHECK_MSG(transport_ != nullptr, "runtime needs a transport");
   transport_->set_handler([this](net::Packet&& p) { dispatch(std::move(p)); });
 }
@@ -54,11 +53,6 @@ void Runtime::send(ObjectId from, ObjectId to, net::MsgKind kind,
   packet.dst = directory_.address_of(to);
   packet.kind = kind;
   packet.payload = std::move(payload);
-  if (trace_->enabled()) {
-    trace_->record(simulator_.now(), "net",
-                   std::string("send ") + std::string(net::kind_name(kind)),
-                   directory_.name_of(from), "to " + directory_.name_of(to));
-  }
   transport_->send(std::move(packet));
 }
 
@@ -69,13 +63,6 @@ void Runtime::dispatch(net::Packet&& packet) {
     // The object was detached (or never existed here): count and drop.
     simulator_.counters().add(kDroppedNoObject);
     return;
-  }
-  if (trace_->enabled()) {
-    trace_->record(simulator_.now(), "net",
-                   std::string("recv ") +
-                       std::string(net::kind_name(packet.kind)),
-                   directory_.name_of(packet.dst.object),
-                   "from " + directory_.name_of(packet.src.object));
   }
   object->on_message(packet.src.object, packet.kind, packet.payload);
 }

@@ -13,7 +13,6 @@
 #include "rt/managed_object.h"
 #include "rt/registry.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 
 namespace caa::rt {
 
@@ -29,10 +28,6 @@ class Runtime {
   [[nodiscard]] NodeId node() const { return node_; }
   [[nodiscard]] sim::Simulator& simulator() { return simulator_; }
   [[nodiscard]] Directory& directory() { return directory_; }
-  [[nodiscard]] sim::TraceLog& trace() { return *trace_; }
-
-  /// Installs a shared trace log (one per World).
-  void set_trace(sim::TraceLog* trace) { trace_ = trace; }
 
   /// Registers `object` under `name`; the directory assigns its id.
   /// The caller keeps ownership and must outlive the runtime's use.
@@ -56,8 +51,6 @@ class Runtime {
   // A node hosts a handful of objects, and every inbound packet resolves
   // its destination here: a linear scan over a small vector beats hashing.
   std::vector<std::pair<ObjectId, ManagedObject*>> locals_;
-  sim::TraceLog* trace_ = nullptr;
-  sim::TraceLog null_trace_;
 };
 
 }  // namespace caa::rt

@@ -5,6 +5,7 @@
 // invariant violation in a fault-tolerance library is worse than a crash.
 #pragma once
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
@@ -12,9 +13,10 @@ namespace caa::detail {
 /// Called after the failure is printed and before abort(). The flight
 /// recorder installs a hook that dumps the failing world's ring buffer so a
 /// tripped invariant still leaves a post-mortem artifact (obs/flight_recorder.h).
+/// Atomic: every campaign worker thread installs it.
 using CheckFailureHook = void (*)();
-inline CheckFailureHook& check_failure_hook() {
-  static CheckFailureHook hook = nullptr;
+inline std::atomic<CheckFailureHook>& check_failure_hook() {
+  static std::atomic<CheckFailureHook> hook{nullptr};
   return hook;
 }
 
@@ -22,7 +24,9 @@ inline CheckFailureHook& check_failure_hook() {
                                       int line, const char* msg) {
   std::fprintf(stderr, "CHECK failed: %s at %s:%d%s%s\n", expr, file, line,
                msg && *msg ? " — " : "", msg ? msg : "");
-  if (CheckFailureHook hook = check_failure_hook(); hook != nullptr) hook();
+  if (CheckFailureHook hook = check_failure_hook().load(); hook != nullptr) {
+    hook();
+  }
   std::abort();
 }
 }  // namespace caa::detail

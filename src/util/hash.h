@@ -1,8 +1,8 @@
 // Small non-cryptographic hashing utilities.
 //
-// Used for behavioural fingerprints: trace checksums and the bench
-// harness's `checksum` field both reduce a run to a 64-bit FNV-1a digest
-// so optimization PRs can prove they did not change protocol behaviour.
+// Used for behavioural fingerprints: the bench harness's `checksum` field
+// reduces a run to a 64-bit FNV-1a digest so optimization PRs can prove
+// they did not change protocol behaviour.
 #pragma once
 
 #include <cstdint>

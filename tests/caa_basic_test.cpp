@@ -204,40 +204,47 @@ TEST(CaaBasic, RaiseAfterSuspensionIsSuperseded) {
 TEST(CaaBasic, BackwardRecoveryRetriesThenSucceeds) {
   // Conversation-style backward recovery (§2.2): acceptance failure rolls
   // every participant back to its checkpoint and runs the next alternate.
-  World w;
-  auto& o1 = w.add_participant("O1");
-  auto& o2 = w.add_participant("O2");
-  const auto& decl = w.actions().declare("A1", engine_tree());
-  const auto& a1 = w.actions().create_instance(decl, {o1.id(), o2.id()});
+  // Both exit protocols decide the restore.
+  for (const exit::ExitKind kind :
+       {exit::ExitKind::kBarrier, exit::ExitKind::kPaxos}) {
+    SCOPED_TRACE(exit::exit_kind_name(kind));
+    WorldConfig config;
+    config.exit_protocol = kind;
+    World w(config);
+    auto& o1 = w.add_participant("O1");
+    auto& o2 = w.add_participant("O2");
+    const auto& decl = w.actions().declare("A1", engine_tree());
+    const auto& a1 = w.actions().create_instance(decl, {o1.id(), o2.id()});
 
-  int o1_state = 0;
-  int o1_checkpoint = -1;
-  int restores = 0;
-  auto config_for = [&](Participant& p, bool failing_first) {
-    return EnterConfig::with(
-               uniform_handlers(decl.tree(), ex::HandlerResult::recovered()))
-        .retries(3)
-        .checkpoints([&] { o1_checkpoint = o1_state; },
-                     [&] {
-                       o1_state = o1_checkpoint;
-                       ++restores;
-                     })
-        .body([&p, failing_first](std::uint32_t attempt) {
-          // First attempt fails its acceptance test; the retry passes.
-          p.complete(/*acceptance_ok=*/!(failing_first && attempt == 0));
-        })
-        .build();
-  };
-  ASSERT_TRUE(o1.enter(a1.instance, config_for(o1, true)));
-  ASSERT_TRUE(o2.enter(a1.instance, config_for(o2, false)));
-  w.run();
+    int o1_state = 0;
+    int o1_checkpoint = -1;
+    int restores = 0;
+    auto config_for = [&](Participant& p, bool failing_first) {
+      return EnterConfig::with(
+                 uniform_handlers(decl.tree(), ex::HandlerResult::recovered()))
+          .retries(3)
+          .checkpoints([&] { o1_checkpoint = o1_state; },
+                       [&] {
+                         o1_state = o1_checkpoint;
+                         ++restores;
+                       })
+          .body([&p, failing_first](std::uint32_t attempt) {
+            // First attempt fails its acceptance test; the retry passes.
+            p.complete(/*acceptance_ok=*/!(failing_first && attempt == 0));
+          })
+          .build();
+    };
+    ASSERT_TRUE(o1.enter(a1.instance, config_for(o1, true)));
+    ASSERT_TRUE(o2.enter(a1.instance, config_for(o2, false)));
+    w.run();
 
-  EXPECT_EQ(restores, 2);  // both participants restored once
-  EXPECT_FALSE(o1.in_action());
-  EXPECT_FALSE(o2.in_action());
-  EXPECT_TRUE(w.failures().empty());
-  // Backward recovery uses no resolution messages at all.
-  EXPECT_EQ(w.metrics().resolution_messages(), 0);
+    EXPECT_EQ(restores, 2);  // both participants restored once
+    EXPECT_FALSE(o1.in_action());
+    EXPECT_FALSE(o2.in_action());
+    EXPECT_TRUE(w.failures().empty());
+    // Backward recovery uses no resolution messages at all.
+    EXPECT_EQ(w.metrics().resolution_messages(), 0);
+  }
 }
 
 TEST(CaaBasic, AttemptsExhaustedSignalsFailure) {

@@ -38,9 +38,7 @@ TEST(CaaNested, Example2Figure4) {
   // Four objects. A1 = {O1,O2,O3,O4}; A2 = {O2,O3,O4} nested in A1;
   // A3 = {O2,O3} nested in A2. O3 is belated for A3. O1 raises E1 in A1
   // while O2 raises E2 in A3. O2's abortion handler for A2 signals E3.
-  WorldConfig wc;
-  wc.trace = true;
-  World w(wc);
+  World w;
   auto& o1 = w.add_participant("O1");
   auto& o2 = w.add_participant("O2");
   auto& o3 = w.add_participant("O3");

@@ -3,8 +3,13 @@
 //     violations (the protocol holes chaos found are fixed and stay fixed);
 //   * campaign results are bit-identical at --threads 1 and --threads 8
 //     (merged checksum AND merged metrics);
-//   * every fault-mix profile runs clean at smoke scale.
+//   * every fault-mix profile runs clean at smoke scale;
+//   * a replayed trial's trace (caa-chaos --index I --trace) is its flight
+//     records, and asking for it leaves the trial's checksum alone.
 #include <gtest/gtest.h>
+
+#include <sstream>
+#include <string>
 
 #include "fault/chaos.h"
 
@@ -40,6 +45,31 @@ TEST(ChaosCampaign, ResultsAreThreadCountInvariant) {
   EXPECT_EQ(serial.campaign.merged_metrics.to_string(),
             parallel.campaign.merged_metrics.to_string());
   EXPECT_EQ(serial.campaign.total_events, parallel.campaign.total_events);
+}
+
+TEST(ChaosCampaign, TraceLogIsTheTrialsFlightRecords) {
+  ChaosOptions options;
+  options.seed = 42;
+  const std::size_t index = 3;
+  const std::uint64_t trial_seed = run::derive_seed(options.seed, index);
+  const FaultPlan plan = chaos_plan(trial_seed, options);
+  const run::WorldResult plain = run_chaos_trial(trial_seed, plan, options,
+                                                 index);
+  std::string trace_log;
+  const run::WorldResult traced = run_chaos_trial(
+      trial_seed, plan, options, index, /*critical_path=*/nullptr, &trace_log);
+  ASSERT_TRUE(plain.ok) << plain.error;
+  EXPECT_EQ(traced.checksum, plain.checksum);
+  EXPECT_EQ(traced.events, plain.events);
+  // One obs::format_record line per record, ids consecutive from #1.
+  std::istringstream lines(trace_log);
+  std::string line;
+  std::uint64_t next = 1;
+  while (std::getline(lines, line)) {
+    EXPECT_EQ(line.rfind("#" + std::to_string(next) + " t=", 0), 0u) << line;
+    ++next;
+  }
+  EXPECT_GT(next, 1u) << "empty trace log";
 }
 
 class ProfileSmoke : public ::testing::TestWithParam<FaultMix> {};

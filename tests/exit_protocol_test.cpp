@@ -106,7 +106,6 @@ class FakeExitProtocol final : public exit::ExitProtocol {
 
   void on_complete(const action::DoneMsg& m) override {
     ++log_->completes;
-    host_.exit_trace("fake exit", "deciding from own done");
     const action::LeaveMsg leave =
         host_.exit_decide(info_.instance, m.round, {m});
     log_->outcome = leave.outcome;

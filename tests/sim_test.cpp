@@ -1,9 +1,8 @@
 // Unit tests of the discrete-event simulator: ordering, determinism,
-// cancellation, quiescence, trace log.
+// cancellation, quiescence.
 #include <gtest/gtest.h>
 
 #include "sim/simulator.h"
-#include "sim/trace.h"
 
 namespace caa::sim {
 namespace {
@@ -102,24 +101,6 @@ TEST(Simulator, CountersAccumulate) {
   EXPECT_EQ(sim.counters().get(foo), 5);
   // Name-based reads (tests/debugging) go through the metrics facade.
   EXPECT_EQ(sim.obs().metrics().value("sim_test.foo"), 5);
-}
-
-TEST(TraceLog, DisabledRecordsNothing) {
-  TraceLog log;
-  log.record(1, "cat", "ev", "subj");
-  EXPECT_TRUE(log.records().empty());
-}
-
-TEST(TraceLog, FilterAndCount) {
-  TraceLog log;
-  log.enable();
-  log.record(1, "resolve", "raise", "O1");
-  log.record(2, "net", "send Exception", "O1");
-  log.record(3, "resolve", "raise", "O2");
-  EXPECT_EQ(log.filter("resolve").size(), 2u);
-  EXPECT_EQ(log.count_event("raise"), 2u);
-  EXPECT_EQ(log.count_event("send Exception"), 1u);
-  EXPECT_NE(log.to_string().find("send Exception"), std::string::npos);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Trace-narrative tests: the protocol traces of the paper's §4.3 examples,
-// asserted message by message against the recorded TraceLog.
+// asserted message by message against the world's flight-recorder sends and
+// deliveries.
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "caa/world.h"
 
@@ -10,14 +13,25 @@ namespace {
 using action::EnterConfig;
 using action::uniform_handlers;
 
-/// Collects "<subject> <event> <detail>" lines for net-category records.
-std::vector<std::string> net_lines(const World& world,
-                                   const sim::TraceLog& log) {
-  (void)world;
+/// "O1 send Exception to O2" / "O2 recv ACK from O1" lines, one per
+/// flight-recorder send or delivery, in record order. Wire records name
+/// nodes; every participant here sits on its own node.
+std::vector<std::string> net_lines(World& world) {
+  std::map<std::uint32_t, std::string> names;
+  for (const auto& p : world.participants()) {
+    names[p->runtime().node().value()] = p->name();
+  }
+  EXPECT_EQ(world.recorder().overwritten(), 0u);
   std::vector<std::string> out;
-  for (const auto& r : log.records()) {
-    if (r.category != "net") continue;
-    out.push_back(r.subject + " " + r.event + " " + r.detail);
+  for (const obs::FlightRecord& r : world.recorder().snapshot()) {
+    const std::string kind(net::kind_name(static_cast<net::MsgKind>(r.code)));
+    if (r.type == obs::RecType::kSend) {
+      out.push_back(names.at(r.actor) + " send " + kind + " to " +
+                    names.at(r.peer));
+    } else if (r.type == obs::RecType::kDeliver) {
+      out.push_back(names.at(r.actor) + " recv " + kind + " from " +
+                    names.at(r.peer));
+    }
   }
   return out;
 }
@@ -37,9 +51,7 @@ TEST(TraceNarrative, Example1FollowsThePaper) {
   //  O2: sends Exception to O1,O3; receives ACKs; resolves (bigger name);
   //      sends Commit to O1,O3.
   //  O3: receives both Exceptions, ACKs both, receives Commit.
-  WorldConfig wc;
-  wc.trace = true;
-  World w(wc);
+  World w;
   auto& o1 = w.add_participant("O1");
   auto& o2 = w.add_participant("O2");
   auto& o3 = w.add_participant("O3");
@@ -60,7 +72,7 @@ TEST(TraceNarrative, Example1FollowsThePaper) {
   w.at(1000, [&] { o2.raise("E2"); });
   w.run();
 
-  const auto lines = net_lines(w, w.trace());
+  const auto lines = net_lines(w);
   // O1's Exception multicast to O2 and O3.
   EXPECT_EQ(count_of(lines, "O1 send Exception to O2"), 1);
   EXPECT_EQ(count_of(lines, "O1 send Exception to O3"), 1);
@@ -96,9 +108,7 @@ TEST(TraceNarrative, Example2HaveNestedPrecedesNestedCompleted) {
   // In the Figure-4 scenario, each nested object sends HaveNested before
   // its NestedCompleted, and O2 sends its NestedCompleted only after its
   // abortion handlers ran.
-  WorldConfig wc;
-  wc.trace = true;
-  World w(wc);
+  World w;
   auto& o1 = w.add_participant("O1");
   auto& o2 = w.add_participant("O2");
   auto& o3 = w.add_participant("O3");
@@ -134,7 +144,7 @@ TEST(TraceNarrative, Example2HaveNestedPrecedesNestedCompleted) {
   w.at(1000, [&] { o1.raise("E1"); });
   w.run();
 
-  const auto lines = net_lines(w, w.trace());
+  const auto lines = net_lines(w);
   auto first_index = [&](const std::string& what) {
     for (std::size_t i = 0; i < lines.size(); ++i) {
       if (lines[i].find(what) != std::string::npos) return i;

@@ -102,59 +102,69 @@ ex::ExceptionTree small_tree() {
   return tree;
 }
 
-/// The planted stall of the issue: O3 never completes, so the exit barrier
-/// can never close. The deadline poll must name the scope, the barrier
-/// phase and exactly the member being awaited. The full report is pinned as
-/// a golden; regenerate with CAA_UPDATE_GOLDEN=1 ./watchdog_test.
+/// The planted stall: O3 never completes, so the exit can never close. The
+/// deadline poll must name the scope, the exit phase and exactly the member
+/// being awaited, under both exit protocols. The barrier's full report is
+/// pinned as a golden; regenerate with CAA_UPDATE_GOLDEN=1 ./watchdog_test.
 TEST(Watchdog, PlantedStalledExitIsDiagnosed) {
-  WorldConfig config;
-  config.watchdog_deadline = 5000;
-  World w(config);
-  auto& o1 = w.add_participant("O1");
-  auto& o2 = w.add_participant("O2");
-  auto& o3 = w.add_participant("O3");
-  const auto& decl = w.actions().declare("A", small_tree());
-  const auto& a1 =
-      w.actions().create_instance(decl, {o1.id(), o2.id(), o3.id()});
-  for (Participant* o : {&o1, &o2, &o3}) {
-    ASSERT_TRUE(o->enter(a1.instance,
-                         EnterConfig::with(uniform_handlers(
-                             decl.tree(), ex::HandlerResult::recovered()))));
-  }
-  w.at(1000, [&] { o1.complete(); });
-  w.at(1100, [&] { o2.complete(); });
-  // o3 never completes. Carry virtual time past the deadline so the poll
-  // fires before quiescence (the watchdog schedules nothing itself).
-  w.at(30'000, [] {});
-  w.run();
+  for (const exit::ExitKind kind :
+       {exit::ExitKind::kPaxos, exit::ExitKind::kBarrier}) {
+    SCOPED_TRACE(exit::exit_kind_name(kind));
+    WorldConfig config;
+    config.watchdog_deadline = 5000;
+    config.exit_protocol = kind;
+    World w(config);
+    auto& o1 = w.add_participant("O1");
+    auto& o2 = w.add_participant("O2");
+    auto& o3 = w.add_participant("O3");
+    const auto& decl = w.actions().declare("A", small_tree());
+    const auto& a1 =
+        w.actions().create_instance(decl, {o1.id(), o2.id(), o3.id()});
+    for (Participant* o : {&o1, &o2, &o3}) {
+      ASSERT_TRUE(o->enter(a1.instance,
+                           EnterConfig::with(uniform_handlers(
+                               decl.tree(), ex::HandlerResult::recovered()))));
+    }
+    w.at(1000, [&] { o1.complete(); });
+    w.at(1100, [&] { o2.complete(); });
+    // o3 never completes. Carry virtual time past the deadline so the poll
+    // fires before quiescence (the watchdog schedules nothing itself).
+    w.at(30'000, [] {});
+    w.run();
 
-  ASSERT_EQ(w.watchdog().reports().size(), 1u);
-  const obs::WatchdogReport& report = w.watchdog().reports()[0];
-  EXPECT_EQ(report.scope, a1.instance.value());
-  EXPECT_FALSE(report.at_quiescence);
-  EXPECT_EQ(report.detected_at, 30'000);
-  // The leader's view wins (it can name who it awaits): the barrier is
-  // collecting Dones and O3 is the only one missing.
-  EXPECT_NE(report.scope_name.find("A @ "), std::string::npos);
-  EXPECT_NE(report.phase.find("exit.barrier"), std::string::npos);
-  ASSERT_EQ(report.awaited.size(), 1u);
-  EXPECT_EQ(report.awaited[0], "O3");
+    ASSERT_EQ(w.watchdog().reports().size(), 1u);
+    const obs::WatchdogReport& report = w.watchdog().reports()[0];
+    EXPECT_EQ(report.scope, a1.instance.value());
+    EXPECT_FALSE(report.at_quiescence);
+    EXPECT_EQ(report.detected_at, 30'000);
+    // The leader's view wins (it can name who it awaits): the exit is
+    // collecting votes and O3 is the only one missing.
+    EXPECT_NE(report.scope_name.find("A @ "), std::string::npos);
+    if (kind == exit::ExitKind::kPaxos) {
+      EXPECT_EQ(report.phase, "exit.paxos (leader, collecting acceptances)");
+    } else {
+      EXPECT_NE(report.phase.find("exit.barrier"), std::string::npos);
+    }
+    ASSERT_EQ(report.awaited.size(), 1u);
+    EXPECT_EQ(report.awaited[0], "O3");
+    if (kind != exit::ExitKind::kBarrier) continue;
 
-  const std::string text = w.watchdog().report_text();
-  const std::string golden_path =
-      std::string(CAA_TEST_DATA_DIR) + "/golden/watchdog_stalled_exit.txt";
-  if (std::getenv("CAA_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(golden_path, std::ios::binary | std::ios::trunc);
-    out << text;
-    GTEST_SKIP() << "golden rewritten: " << golden_path;
+    const std::string text = w.watchdog().report_text();
+    const std::string golden_path =
+        std::string(CAA_TEST_DATA_DIR) + "/golden/watchdog_stalled_exit.txt";
+    if (std::getenv("CAA_UPDATE_GOLDEN") != nullptr) {
+      std::ofstream out(golden_path, std::ios::binary | std::ios::trunc);
+      out << text;
+      GTEST_SKIP() << "golden rewritten: " << golden_path;
+    }
+    std::ifstream in(golden_path, std::ios::binary);
+    ASSERT_TRUE(in.good()) << "missing golden " << golden_path
+                           << " (run with CAA_UPDATE_GOLDEN=1)";
+    std::stringstream data;
+    data << in.rdbuf();
+    EXPECT_EQ(data.str(), text)
+        << "watchdog diagnosis drifted from the committed golden";
   }
-  std::ifstream in(golden_path, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing golden " << golden_path
-                         << " (run with CAA_UPDATE_GOLDEN=1)";
-  std::stringstream data;
-  data << in.rdbuf();
-  EXPECT_EQ(data.str(), text)
-      << "watchdog diagnosis drifted from the committed golden";
 }
 
 /// A stall *during resolution*: O3's node silently dies (no membership

@@ -43,6 +43,8 @@ void usage() {
       "                  or non-blocking Paxos Commit\n"
       "  --avoid         coordination avoidance: commutative raise sets\n"
       "                  commit via the leader census fast path\n"
+      "  --trace         print the replayed trial's flight records\n"
+      "                  (caa-inspect format)\n"
       "  --watchdog T    stall-diagnosis deadline in virtual ticks for\n"
       "                  --index/--replay replays (default 10000; 0 disarms)\n"
       "  --replay FILE   replay one shrunk repro artifact — the recipe a\n"
@@ -58,6 +60,7 @@ int main(int argc, char** argv) {
   long long replay_index = -1;
   long long watchdog_deadline = 10'000;  // --index/--replay replays only
   bool show_plan = false;
+  bool trace = false;
   std::string replay_file;
 
   for (int i = 1; i < argc; ++i) {
@@ -128,7 +131,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--show-plan") {
       show_plan = true;
     } else if (arg == "--trace") {
-      options.trace = true;
+      trace = true;
     } else {
       usage();
       return 2;
@@ -164,7 +167,7 @@ int main(int argc, char** argv) {
     std::string watchdog_report;
     const caa::run::WorldResult result = caa::fault::run_chaos_trial(
         artifact.seed, artifact.plan, options, 0, &critical_path,
-        options.trace ? &trace_log : nullptr, &watchdog_report);
+        trace ? &trace_log : nullptr, &watchdog_report);
     if (!trace_log.empty()) std::fputs(trace_log.c_str(), stdout);
     if (!result.ok && !critical_path.empty()) {
       std::fputs(critical_path.c_str(), stdout);
@@ -193,7 +196,7 @@ int main(int argc, char** argv) {
     std::string watchdog_report;
     const caa::run::WorldResult result = caa::fault::run_chaos_trial(
         trial_seed, plan, options, static_cast<std::size_t>(replay_index),
-        &critical_path, options.trace ? &trace_log : nullptr,
+        &critical_path, trace ? &trace_log : nullptr,
         &watchdog_report);
     if (!trace_log.empty()) std::fputs(trace_log.c_str(), stdout);
     if (!result.ok && !critical_path.empty()) {

@@ -145,6 +145,21 @@ if grep -nE 'std::set<ObjectId>[[:space:]]+[A-Za-z_]*(exclu|crash)|std::vector<O
 fi
 echo "engine, overlay and relay tree read the shared membership"
 
+# One protocol event stream: the flight recorder (src/obs/flight_recorder.h)
+# records every protocol step as a typed record, and the §4.3 narrative
+# tests, caa-inspect and caa-chaos --trace all read it. A second, string-
+# formatted narrative log, the hooks that fed it or the per-layer trace
+# helpers that built detail strings for it must not regrow.
+echo "==== one protocol event stream grep gate ==================="
+if grep -rnE --exclude=check.sh \
+    'TraceLog|sim/trace\.h|trace_enabled|exit_trace|hooks_?\.trace\b|void trace\(std::string_view' \
+    src tools bench examples; then
+  echo "a second protocol event stream is back" >&2
+  echo "(record protocol steps in obs::FlightRecorder and render from it)" >&2
+  exit 1
+fi
+echo "the flight recorder is the only protocol event stream"
+
 # caa-inspect must keep decoding the committed dump format: render the
 # golden .caafr and diff against the golden rendering the tests pin.
 echo "==== caa-inspect golden decode ============================="
