@@ -29,6 +29,15 @@ net::Bytes encode(const LeaveMsg& m) {
   return std::move(w).take();
 }
 
+std::string_view to_string(LeaveOutcome outcome) {
+  switch (outcome) {
+    case LeaveOutcome::kCommitted: return "committed";
+    case LeaveOutcome::kSignalled: return "signalled";
+    case LeaveOutcome::kRestored: return "restored";
+  }
+  return "?";
+}
+
 Result<DoneMsg> decode_done(const net::Bytes& bytes) {
   net::WireReader r(bytes);
   auto scope = r.u64();

@@ -8,6 +8,7 @@
 // the parent instance for nesting.
 #pragma once
 
+#include <string_view>
 #include <vector>
 
 #include "caa/action_decl.h"
@@ -63,6 +64,8 @@ enum class LeaveOutcome : std::uint8_t {
   kSignalled = 1,  // handlers failed: signal an exception to the container
   kRestored = 2,   // acceptance test failed: backward recovery, new attempt
 };
+
+[[nodiscard]] std::string_view to_string(LeaveOutcome outcome);
 
 /// Participant -> leader: "my part is finished".
 /// `ok=false` means the local acceptance test failed (requests backward

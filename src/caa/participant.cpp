@@ -132,11 +132,7 @@ bool Participant::enter(ActionInstanceId instance, EnterConfig config) {
   // commit of a round this belated entrant missed entirely (its buffered
   // copy, if one was ever sent, is from-crashed traffic and void).
   for (ObjectId member : dyn.excluded) begin_crash_sync(instance, dyn, member);
-  if (obs::Observability* o = observing()) {
-    dyn.action_span =
-        o->tracer().begin(id().value(), "action", info.decl->name(),
-                          "instance " + std::to_string(instance.value()));
-  }
+  record_lifecycle(obs::RecType::kEnter, instance);
   sync_caa_health();
   wd_open(instance);
 
@@ -604,10 +600,7 @@ resolve::ResolverCore::Hooks Participant::make_hooks(ActionInstanceId scope) {
   hooks.purge_nested_from = [this](ObjectId peer) {
     purge_pending_from(peer);
   };
-  if (attached()) {
-    hooks.obs = &runtime().simulator().obs();
-    hooks.obs_track = id().value();
-  }
+  if (attached()) hooks.obs = &runtime().simulator().obs();
   return hooks;
 }
 
@@ -710,14 +703,8 @@ void Participant::on_round_finished(ActionInstanceId scope,
   schedule_after(0, [this, scope, resolved, resolved_round] {
     Dyn* d = find_dyn(scope);
     if (d == nullptr || d->aborting) return;  // aborted meanwhile
-    if (d->barrier_span.valid() || d->handler_span.valid()) {
-      // The resolution superseded an acceptance-line wait / running handler.
-      obs::Tracer& tracer = runtime().simulator().obs().tracer();
-      tracer.end_args(d->handler_span, "superseded");
-      tracer.end_args(d->barrier_span, "superseded");
-      d->handler_span = obs::SpanId::invalid();
-      d->barrier_span = obs::SpanId::invalid();
-    }
+    // Supersedes an acceptance-line wait or a running handler, if any.
+    record_lifecycle(obs::RecType::kTakeover, scope, resolved_round);
     d->engine = make_engine(*d, scope);
     d->done_sent = false;  // the handler takes over and completes anew
     sync_caa_health();     // exit occupancy: the handler re-opened our part
@@ -735,23 +722,13 @@ void Participant::invoke_handler(ActionInstanceId scope, ExceptionId resolved,
     Dyn* d = find_dyn(scope);
     CAA_CHECK(d != nullptr);
     const ex::Handler& handler = d->config.handlers.get(resolved);
-    obs::SpanId span = obs::SpanId::invalid();
-    if (obs::Observability* o = observing()) {
-      span = o->tracer().begin(
-          id().value(), "handler",
-          "handle " + d->info->decl->tree().name_of(resolved));
-      d->handler_span = span;
-    }
+    record_lifecycle(obs::RecType::kHandler, scope, resolved_round,
+                     resolved.value());
     const ex::HandlerResult result = handler(resolved);
     handled_.push_back(HandledRecord{scope, resolved_round, resolved, now()});
     if (d->config.on_handler) d->config.on_handler(resolved);
-    run_guarded(scope, result.duration, [this, scope, result, span] {
-      Dyn* inner = find_dyn(scope);
-      if (inner != nullptr && span.valid() && inner->handler_span == span) {
-        // Still ours (a superseding resolution would have closed it).
-        runtime().simulator().obs().tracer().end(span);
-        inner->handler_span = obs::SpanId::invalid();
-      }
+    run_guarded(scope, result.duration, [this, scope, result, resolved_round] {
+      record_lifecycle(obs::RecType::kHandlerEnd, scope, resolved_round);
       if (result.outcome == ex::HandlerOutcome::kRecovered) {
         complete_internal(scope, true, ExceptionId::invalid());
       } else {
@@ -800,16 +777,10 @@ void Participant::abort_step() {
   // innermost-first; only they may run in an aborted action).
   const ex::AbortResult result =
       ctx.abortion_handler ? ctx.abortion_handler() : ex::AbortResult::none();
-  obs::SpanId abort_span = obs::SpanId::invalid();
-  if (obs::Observability* o = observing()) {
-    abort_span = o->tracer().begin(
-        id().value(), "abort",
-        "abort " + dyn_.at(ctx.instance).info->decl->name(),
-        result.signal.valid() ? "signalling" : std::string());
-  }
+  record_lifecycle(obs::RecType::kAbortHandler, ctx.instance, 0,
+                   result.signal.value());
   schedule_after(result.duration,
-                 [this, instance = ctx.instance, signal = result.signal,
-                  abort_span] {
+                 [this, instance = ctx.instance, signal = result.signal] {
     Dyn* dyn = find_dyn(instance);
     // A node restart may have abandoned this context (on_restarted) between
     // the abortion handler and this continuation; the chain is void then.
@@ -822,11 +793,6 @@ void Participant::abort_step() {
       recorder.record_protocol(obs::RecType::kAbort, id().value(),
                                instance.value(), 0,
                                signal.valid() ? signal.value() : 0);
-    }
-    if (abort_span.valid()) {
-      obs::Tracer& tracer = runtime().simulator().obs().tracer();
-      tracer.end(abort_span);
-      tracer.end_args(dyn->action_span, "aborted");
     }
     pop_context(instance, /*dead=*/true);
     if (!abort_chain_.has_value()) return;  // defensive; should not happen
@@ -868,11 +834,7 @@ void Participant::complete_internal(ActionInstanceId scope, bool ok,
   dyn->done_sent = true;
   dyn->handling = false;  // handler (if any) has completed the action part
   DoneMsg m{scope, dyn->round, id(), ok, signal};
-  if (obs::Observability* o = observing()) {
-    dyn->barrier_span = o->tracer().begin(
-        id().value(), "barrier", "barrier r" + std::to_string(dyn->round),
-        ok ? std::string() : "acceptance failed");
-  }
+  record_lifecycle(obs::RecType::kDone, scope, dyn->round, ok ? 1 : 0);
   sync_caa_health();  // exit occupancy: done_sent flipped on
   wd_progress(scope);
   // From here the exit protocol owns everything up to the Leave decision.
@@ -942,6 +904,8 @@ void Participant::apply_leave(const LeaveMsg& m) {
   CAA_CHECK_MSG(in_action() && contexts_.active().instance == m.scope,
                 "Leave for a non-active context");
   wd_progress(m.scope);
+  record_lifecycle(obs::RecType::kLeave, m.scope, m.round,
+                   static_cast<std::uint32_t>(m.outcome), m.attempt);
   const InstanceInfo& info = *dyn->info;
   const bool leader = live_leader(*dyn) == id();
 
@@ -951,11 +915,6 @@ void Participant::apply_leave(const LeaveMsg& m) {
       if (dyn->config.on_leave) {
         dyn->config.on_leave(m.outcome, ExceptionId::invalid());
       }
-      if (dyn->action_span.valid()) {
-        obs::Tracer& tracer = runtime().simulator().obs().tracer();
-        tracer.end(dyn->barrier_span);
-        tracer.end_args(dyn->action_span, "committed");
-      }
       record_leave(*dyn, m);
       pop_context(m.scope, /*dead=*/true);
       return;
@@ -963,11 +922,6 @@ void Participant::apply_leave(const LeaveMsg& m) {
     case LeaveOutcome::kSignalled: {
       if (leader && dyn->config.on_abort) dyn->config.on_abort();
       if (dyn->config.on_leave) dyn->config.on_leave(m.outcome, m.signal);
-      if (dyn->action_span.valid()) {
-        obs::Tracer& tracer = runtime().simulator().obs().tracer();
-        tracer.end(dyn->barrier_span);
-        tracer.end_args(dyn->action_span, "signalled");
-      }
       const ActionInstanceId parent = info.parent;
       record_leave(*dyn, m);
       pop_context(m.scope, /*dead=*/true);
@@ -996,15 +950,6 @@ void Participant::apply_leave(const LeaveMsg& m) {
       if (dyn->config.restore_checkpoint) dyn->config.restore_checkpoint();
       if (dyn->config.on_leave) {
         dyn->config.on_leave(m.outcome, ExceptionId::invalid());
-      }
-      if (dyn->barrier_span.valid()) {
-        obs::Tracer& tracer = runtime().simulator().obs().tracer();
-        tracer.end_args(dyn->barrier_span, "restored");
-        dyn->barrier_span = obs::SpanId::invalid();
-      }
-      if (obs::Observability* o = observing()) {
-        o->tracer().instant(id().value(), "action", "restore",
-                            "attempt " + std::to_string(m.attempt));
       }
       dyn->attempt = m.attempt;
       dyn->done_sent = false;
@@ -1048,17 +993,6 @@ void Participant::pop_context(ActionInstanceId scope, bool dead) {
     // so its frames may still be on the stack: retire, don't destroy. The
     // graveyard is swept at the next quiet entry into this participant.
     retired_exits_.push_back(std::move(dyn->exit));
-  }
-  if (Dyn* dyn = find_dyn(scope);
-      dyn != nullptr &&
-      (dyn->action_span.valid() || dyn->barrier_span.valid() ||
-       dyn->handler_span.valid())) {
-    // Close LIFO (handler/barrier nest inside the action span). The engine's
-    // round span, if still open, closes in ~ResolverCore at dyn_.erase.
-    obs::Tracer& tracer = runtime().simulator().obs().tracer();
-    tracer.end(dyn->handler_span);
-    tracer.end(dyn->barrier_span);
-    tracer.end(dyn->action_span);
   }
   contexts_.pop();
   dyn_.erase(scope);
@@ -1481,6 +1415,15 @@ obs::Observability* Participant::observing() const {
   if (!attached()) return nullptr;
   obs::Observability& o = runtime().simulator().obs();
   return o.enabled() ? &o : nullptr;
+}
+
+void Participant::record_lifecycle(obs::RecType type, ActionInstanceId scope,
+                                   std::uint32_t round, std::uint32_t code,
+                                   std::uint32_t peer) {
+  if (obs::Observability* o = observing()) {
+    o->recorder().record_protocol(type, id().value(), scope.value(), round,
+                                  code, peer);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -409,12 +409,6 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
     // Unconditional (not obs-gated) so campaign percentile rows exist for
     // un-observed worlds; histograms never feed behaviour checksums.
     sim::Time raise_time = -1;
-    // Structured-trace spans (valid only while observability is enabled):
-    // the action's lifetime at this participant, the acceptance-line wait,
-    // and the currently running resolved handler.
-    obs::SpanId action_span = obs::SpanId::invalid();
-    obs::SpanId barrier_span = obs::SpanId::invalid();
-    obs::SpanId handler_span = obs::SpanId::invalid();
     std::vector<RawMsg> future;  // messages for rounds we have not reached
   };
 
@@ -520,6 +514,11 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   /// The observability hub when attached AND enabled, else nullptr — the
   /// one branch every instrumentation site pays.
   [[nodiscard]] obs::Observability* observing() const;
+  /// Records a scope-lifecycle step (enter, Done, takeover, handlers,
+  /// Leave) for the span view; observed worlds only (obs/chrome_trace.h).
+  void record_lifecycle(obs::RecType type, ActionInstanceId scope,
+                        std::uint32_t round = 0, std::uint32_t code = 0,
+                        std::uint32_t peer = 0);
 
   // Health gauges + liveness watchdog (src/obs/). Gauge pushes recompute
   // this participant's contribution and push the delta; watchdog notes are

@@ -1,10 +1,8 @@
 #include "caa/world.h"
 
 #include <exception>
-#include <fstream>
 
 #include "obs/causal.h"
-#include "obs/chrome_trace.h"
 #include "obs/report.h"
 #include "util/check.h"
 
@@ -23,11 +21,9 @@ World::World(WorldConfig config)
   network_.set_managed(config_.managed_network);
   simulator_.obs().set_enabled(config_.observe);
   obs::FlightRecorder& recorder = simulator_.obs().recorder();
-  recorder.set_enabled(config_.flight_recorder);
-  if (config_.flight_recorder_capacity !=
-      obs::FlightRecorder::kDefaultCapacity) {
-    recorder.set_capacity(config_.flight_recorder_capacity);
-  }
+  recorder.set_enabled(config_.flight_recorder || config_.observe);
+  // Spans are paired from the whole record, so an observed world keeps it.
+  if (config_.observe) recorder.keep_all();
   // Register as the thread's active recorder so an armed crash context
   // (run/campaign.cpp) or a tripped CAA_CHECK can dump this world's ring.
   prev_recorder_ = obs::FlightRecorder::bind_thread_active(&recorder);
@@ -169,20 +165,12 @@ action::Participant& World::add_participant(const std::string& name,
         failures_.push_back(Failure{instance, signal});
       });
   participants_.push_back(std::move(participant));
-  if (simulator_.obs().enabled()) {
-    simulator_.obs().tracer().set_track_name(
-        participants_.back()->id().value(), name);
-  }
   return *participants_.back();
 }
 
 ObjectId World::attach(rt::ManagedObject& object, std::string name,
                        NodeId node) {
-  const ObjectId oid = runtime(node).attach(object, name);
-  if (simulator_.obs().enabled()) {
-    simulator_.obs().tracer().set_track_name(oid.value(), std::move(name));
-  }
-  return oid;
+  return runtime(node).attach(object, std::move(name));
 }
 
 void World::at(sim::Time t, std::function<void()> fn) {
@@ -197,19 +185,30 @@ std::size_t World::run(std::size_t max_events) {
   return fired;
 }
 
-bool World::write_timeseries_json(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << simulator_.obs().timeseries().table().to_json();
-  return static_cast<bool>(out);
+obs::SpanLog World::spans() const {
+  if (!simulator_.obs().enabled()) return {};
+  obs::SpanNames names;
+  for (std::uint32_t o = 0; o < directory_.size(); ++o) {
+    names.objects.push_back(directory_.name_of(ObjectId(o)));
+  }
+  names.action = [this](std::uint64_t scope) {
+    return actions_.info(ActionInstanceId(scope)).decl->name();
+  };
+  names.exception = [this](std::uint64_t scope, std::uint32_t exception) {
+    return actions_.info(ActionInstanceId(scope))
+        .decl->tree()
+        .name_of(ExceptionId(exception));
+  };
+  return obs::spans_from(simulator_.obs().recorder().snapshot(),
+                         std::move(names));
 }
 
 std::string World::chrome_trace() const {
-  return obs::chrome_trace_json(simulator_.obs().tracer());
+  return obs::chrome_trace_json(spans());
 }
 
 bool World::write_chrome_trace(const std::string& path) const {
-  return obs::write_chrome_trace(simulator_.obs().tracer(), path);
+  return obs::write_chrome_trace(spans(), path);
 }
 
 std::string World::run_report() const {

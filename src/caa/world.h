@@ -22,6 +22,7 @@
 #include "caa/participant.h"
 #include "net/network.h"
 #include "net/reliable_link.h"
+#include "obs/chrome_trace.h"
 #include "overlay/params.h"
 #include "rt/runtime.h"
 #include "sim/simulator.h"
@@ -35,19 +36,20 @@ struct WorldConfig {
   /// Required when `link` has non-zero loss.
   bool reliable_transport = false;
   net::ReliableTransport::Options reliable;
-  /// Enable structured observability: spans (action / round / abort /
-  /// barrier / txn), per-round protocol tallies, histograms. Off by
-  /// default — disabled runs record nothing and pay one branch per site.
+  /// Enable observability: the flight recorder keeps every record and adds
+  /// the scope and transaction lifecycle, from which spans() draws the
+  /// action / round / abort / barrier / handler / txn spans; plus
+  /// per-round protocol tallies and histograms. Off by default — disabled
+  /// runs record none of it and pay one branch per site.
   bool observe = false;
   /// Keep the causal flight recorder running (obs/flight_recorder.h). On by
   /// default: it is the always-on black box, allocation-free after its one
-  /// ring reservation, and never touches behaviour checksums.
+  /// ring reservation, and never touches behaviour checksums. `observe`
+  /// turns it on regardless.
   bool flight_recorder = true;
-  /// Ring capacity in records when the recorder is on.
-  std::size_t flight_recorder_capacity = obs::FlightRecorder::kDefaultCapacity;
   /// Overlay dissemination defaults stamped onto every action instance
   /// (src/overlay/). The kAuto default keeps every committee below
-  /// tree_threshold on the paper's flat all-to-all protocol.
+  /// OverlayParams::kTreeThreshold on the paper's flat all-to-all protocol.
   overlay::OverlayParams overlay;
   /// Exit/commit protocol stamped onto every action instance (src/exit/):
   /// the paper's leader barrier, or Gray & Lamport's non-blocking Paxos
@@ -108,7 +110,7 @@ class World {
   // ---- Observability / accounting -------------------------------------
   // One facade for everything measured: message tallies by kind, typed
   // counters, histograms, per-action per-round protocol tables (§4.4),
-  // structured spans, and the exporters over them.
+  // spans drawn from the flight record, and the exporters over them.
 
   [[nodiscard]] obs::Metrics& metrics() { return simulator_.obs().metrics(); }
   [[nodiscard]] const obs::Metrics& metrics() const {
@@ -117,10 +119,13 @@ class World {
   [[nodiscard]] obs::Observability& observability() {
     return simulator_.obs();
   }
-  [[nodiscard]] obs::Tracer& tracer() { return simulator_.obs().tracer(); }
+  /// The spans paired from the flight record so far (obs/chrome_trace.h),
+  /// with every object in the directory as a named track. Empty when
+  /// observe is off.
+  [[nodiscard]] obs::SpanLog spans() const;
 
-  /// Chrome trace-event JSON of every span/instant recorded so far; load in
-  /// chrome://tracing or Perfetto. Deterministic for a given seed.
+  /// Chrome trace-event JSON of spans(); load in chrome://tracing or
+  /// Perfetto. Deterministic for a given seed.
   [[nodiscard]] std::string chrome_trace() const;
   /// Writes chrome_trace() to `path`. Returns false on I/O failure.
   bool write_chrome_trace(const std::string& path) const;
@@ -146,9 +151,6 @@ class World {
   [[nodiscard]] obs::TimeSeriesTable timeseries_table() const {
     return simulator_.obs().timeseries().table();
   }
-  /// Writes timeseries_table().to_json() to `path` (caa-report input).
-  /// Returns false on I/O failure.
-  bool write_timeseries_json(const std::string& path) const;
   /// Writes the recorder's binary dump (decodable by tools/caa-inspect) to
   /// `path`, stamped with this world's seed and `world_index`. Returns
   /// false on I/O failure.

@@ -22,19 +22,6 @@ Result<ExitKind> parse_exit_kind(std::string_view name) {
   return Status::invalid_argument("unknown exit protocol (barrier|paxos)");
 }
 
-bool is_exit_kind(net::MsgKind kind) {
-  switch (kind) {
-    case net::MsgKind::kActionDone:
-    case net::MsgKind::kPaxosVote:
-    case net::MsgKind::kPaxosAccepted:
-    case net::MsgKind::kPaxosPrepare:
-    case net::MsgKind::kPaxosPromise:
-      return true;
-    default:
-      return false;
-  }
-}
-
 ObjectId live_leader(const action::InstanceInfo& info,
                      const std::set<ObjectId>& excluded) {
   for (ObjectId member : info.members) {

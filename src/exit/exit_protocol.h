@@ -98,8 +98,9 @@ class ExitProtocol {
   /// current round. The protocol owns everything from here to the Leave.
   virtual void on_complete(const action::DoneMsg& m) = 0;
 
-  /// An exit-flavoured message for this scope arrived (is_exit_kind kinds
-  /// only). Payloads come off the wire; malformed ones must be ignored.
+  /// An exit-flavoured message for this scope arrived (kActionDone or a
+  /// Paxos kind). Payloads come off the wire; malformed ones must be
+  /// ignored.
   virtual void on_message(ObjectId from, net::MsgKind kind,
                           const net::Bytes& payload) = 0;
 
@@ -123,10 +124,6 @@ class ExitProtocol {
     (void)awaited;
   }
 };
-
-/// True for the message kinds owned by the exit protocols; the Participant
-/// routes exactly these through ExitProtocol::on_message.
-[[nodiscard]] bool is_exit_kind(net::MsgKind kind);
 
 /// The lowest member not excluded — the exit leader both protocols (and the
 /// relay-tree root) agree on. Falls back to the static leader when every

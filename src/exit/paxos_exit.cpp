@@ -29,11 +29,6 @@ std::size_t PaxosCommitExit::acceptor_count(std::size_t members) {
   return 2 * ((members - 1) / 2) + 1;
 }
 
-bool PaxosCommitExit::is_acceptor(ObjectId o) const {
-  const std::optional<std::size_t> rank = rank_in(info_.members, o);
-  return rank.has_value() && *rank < acceptors_.size();
-}
-
 std::size_t PaxosCommitExit::live_acceptors() const {
   const std::set<ObjectId>& excluded = host_.exit_excluded(info_.instance);
   std::size_t live = 0;
@@ -62,6 +57,13 @@ std::uint32_t PaxosCommitExit::next_ballot() {
 void PaxosCommitExit::on_complete(const action::DoneMsg& m) {
   last_done_ = m;
   ensure_recovery(m.round);
+  // The recovery's inline self-delivery can cascade all the way to a
+  // decision that tears the scope down. It re-proposed this Done (set
+  // above), so the ballot-0 vote is moot then.
+  if (const auto it = leader_.find(m.round);
+      it != leader_.end() && it->second.decided) {
+    return;
+  }
   send_vote(m.round, /*ballot=*/0, self(),
             Value{/*waived=*/false, m.ok, m.signal});
 }

@@ -138,7 +138,6 @@ class PaxosCommitExit final : public ExitProtocol {
   [[nodiscard]] ObjectId leader() const {
     return live_leader(info_, host_.exit_excluded(info_.instance));
   }
-  [[nodiscard]] bool is_acceptor(ObjectId o) const;
   [[nodiscard]] std::size_t live_acceptors() const;
   [[nodiscard]] std::uint32_t next_ballot();
   void observe_ballot(std::uint32_t ballot) {

@@ -38,10 +38,6 @@ void Network::add_node(NodeId node) {
   state.registered = true;
 }
 
-bool Network::has_node(NodeId node) const {
-  return node_state(node) != nullptr;
-}
-
 void Network::set_endpoint(NodeId node, Handler handler) {
   NodeState* state = node_state(node);
   CAA_CHECK_MSG(state != nullptr, "set_endpoint: unknown node");

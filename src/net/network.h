@@ -27,7 +27,6 @@ class Network {
 
   /// Registers a node. Nodes start up.
   void add_node(NodeId node);
-  [[nodiscard]] bool has_node(NodeId node) const;
 
   /// Installs the packet handler for a node (its transport endpoint).
   void set_endpoint(NodeId node, Handler handler);

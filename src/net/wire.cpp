@@ -51,8 +51,6 @@ Bytes BytesPool::copy_of(const Bytes& src) {
   return out;
 }
 
-void BytesPool::trim() { free_.clear(); }
-
 BytesPool& BytesPool::local() {
   thread_local BytesPool pool;
   return pool;

@@ -53,9 +53,6 @@ class BytesPool {
   /// allocations once the pool is warm).
   [[nodiscard]] Bytes copy_of(const Bytes& src);
 
-  /// Frees every retained buffer.
-  void trim();
-
   // Stats, for tests pinning the reuse behaviour.
   [[nodiscard]] std::size_t pooled() const { return free_.size(); }
   [[nodiscard]] std::int64_t reused() const { return reused_; }

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "caa/action_instance.h"
 #include "net/message.h"
 #include "resolve/resolver_core.h"
 
@@ -87,6 +88,7 @@ std::string format_record(const FlightRecord& rec) {
       break;
     case RecType::kRaise:
     case RecType::kResolved:
+    case RecType::kHandler:
       out << " O" << rec.actor << " e" << rec.code << " a" << rec.scope
           << " r" << rec.round;
       break;
@@ -97,6 +99,38 @@ std::string format_record(const FlightRecord& rec) {
     case RecType::kAbort:
       out << " O" << rec.actor << " a" << rec.scope
           << (rec.code != 0 ? " signal e" + std::to_string(rec.code) : "");
+      break;
+    case RecType::kEnter:
+    case RecType::kTakeover:
+    case RecType::kHandlerEnd:
+      out << " O" << rec.actor << " a" << rec.scope << " r" << rec.round;
+      break;
+    case RecType::kDone:
+      out << " O" << rec.actor << " a" << rec.scope << " r" << rec.round
+          << (rec.code != 0 ? " ok" : " acceptance failed");
+      break;
+    case RecType::kAbortHandler:
+      out << " O" << rec.actor << " a" << rec.scope
+          << (ExceptionId(rec.code).valid()
+                  ? " signal e" + std::to_string(rec.code)
+                  : "");
+      break;
+    case RecType::kLeave: {
+      const auto outcome = static_cast<action::LeaveOutcome>(rec.code);
+      out << " O" << rec.actor << " a" << rec.scope << " r" << rec.round
+          << " " << action::to_string(outcome);
+      if (outcome == action::LeaveOutcome::kRestored) {
+        out << " attempt " << rec.peer;
+      }
+      break;
+    }
+    case RecType::kTxnBegin:
+      out << " O" << rec.actor << " txn 0x" << std::hex << rec.scope
+          << std::dec << (rec.peer != 0 ? " nested" : "");
+      break;
+    case RecType::kTxnEnd:
+      out << " O" << rec.actor << " txn 0x" << std::hex << rec.scope
+          << std::dec << (rec.code != 0 ? " committed" : " aborted");
       break;
   }
   if (rec.cause != 0) out << " cause=#" << rec.cause;

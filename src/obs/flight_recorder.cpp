@@ -48,6 +48,15 @@ std::string_view rec_type_name(RecType type) {
     case RecType::kState: return "state";
     case RecType::kAbort: return "abort";
     case RecType::kResolved: return "resolved";
+    case RecType::kEnter: return "enter";
+    case RecType::kDone: return "done";
+    case RecType::kTakeover: return "takeover";
+    case RecType::kHandler: return "handler";
+    case RecType::kHandlerEnd: return "handler-end";
+    case RecType::kAbortHandler: return "abort-handler";
+    case RecType::kLeave: return "leave";
+    case RecType::kTxnBegin: return "txn-begin";
+    case RecType::kTxnEnd: return "txn-end";
   }
   return "?";
 }
@@ -79,9 +88,9 @@ std::uint64_t FlightRecorder::push(RecType type, std::uint64_t cause,
   rec.code = code;
   rec.round = round;
   rec.type = type;
-  if (ring_.size() < capacity_) {
+  if (ring_.size() < capacity_ || keep_all_) {
     if (ring_.capacity() < capacity_) ring_.reserve(capacity_);
-    ring_.push_back(rec);  // within reserved storage: no allocation
+    ring_.push_back(rec);  // no allocation until a keep-all ring outgrows it
   } else {
     ring_[head_] = rec;
     head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
@@ -173,7 +182,7 @@ Result<FlightDump> FlightRecorder::decode(const net::Bytes& bytes) {
       return Status::invalid_argument("corrupt dump: truncated record");
     }
     if (type.value() < 1 ||
-        type.value() > static_cast<std::uint8_t>(RecType::kResolved)) {
+        type.value() > static_cast<std::uint8_t>(RecType::kTxnEnd)) {
       return Status::invalid_argument("corrupt dump: unknown record type");
     }
     rec.id = id.value();

@@ -1,11 +1,14 @@
-// Always-on causal flight recorder: the post-mortem black box of one world.
+// Always-on causal flight recorder: the typed protocol-event stream of one
+// world and its post-mortem black box.
 //
-// Where the Tracer records spans for humans watching a healthy run, the
-// FlightRecorder records a fixed-size ring of binary records — sends,
+// The FlightRecorder records a fixed-size ring of binary records — sends,
 // deliveries, drops, raises, state transitions, aborts, resolutions — so a
 // world that dies (job exception, CAA_CHECK trip) leaves behind the last N
 // things that happened, dumpable to a compact binary file and decodable by
-// tools/caa-inspect.
+// tools/caa-inspect. An observed world (WorldConfig::observe) also records
+// its scope and transaction lifecycle (enter, Done, handlers, abortion
+// handlers, Leave, txn begin/end) and keeps every record instead of
+// wrapping; obs/chrome_trace.h pairs that whole record into spans.
 //
 // Causality: every record carries the id of the record that *caused* it.
 // A send's cause is whatever record was active when the send happened
@@ -16,11 +19,12 @@
 // from a kResolved record therefore reconstructs exactly the §4.4 message
 // chain that determined when that resolution completed — see obs/causal.h.
 //
-// Cost contract: recording is allocation-free after the ring is built (one
-// vector reservation on the first record), each record is a few stores, and
-// nothing here touches counters — behaviour checksums are byte-identical
-// with the recorder on or off. -DCAA_OBS_DISABLED turns enabled() into
-// constexpr false and the optimizer deletes every site.
+// Cost contract: in an unobserved world recording is allocation-free after
+// the ring is built (one vector reservation on the first record), and each
+// record is a few stores. An observed world keeps every record, so its
+// vector grows. Nothing here touches counters — behaviour checksums are
+// byte-identical with the recorder on or off. -DCAA_OBS_DISABLED turns
+// enabled() into constexpr false and the optimizer deletes every site.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +46,25 @@ enum class RecType : std::uint8_t {
   kState = 5,     // resolver state transition    actor=object, code=State
   kAbort = 6,     // nested action aborted        actor=object, code=signal
   kResolved = 7,  // commit processed, handler starting; code=exception
+  // Scope and transaction lifecycle: observed worlds only (the span view).
+  kEnter = 8,          // action entered             actor=object
+  kDone = 9,           // Done sent, barrier opens   code=ok
+  kTakeover = 10,      // resolved handler takes over the barrier wait and
+                       // any running handler; round=the resolved round
+  kHandler = 11,       // resolved handler starts    code=exception
+  kHandlerEnd = 12,    // that round's handler ends
+  kAbortHandler = 13,  // abortion handler ran       code=signal
+  kLeave = 14,         // exit outcome applied       code=LeaveOutcome,
+                       // peer=the new attempt when restored
+  kTxnBegin = 15,      // actor=client, scope=txn id, code=seq, peer=nested
+  kTxnEnd = 16,        // actor=client, scope=txn id, code=committed
 };
 
 [[nodiscard]] std::string_view rec_type_name(RecType type);
+/// Lifecycle records exist only in observed worlds.
+[[nodiscard]] constexpr bool is_lifecycle(RecType type) {
+  return type >= RecType::kEnter;
+}
 
 /// One entry of the ring. Fixed-size POD; never owns memory.
 struct FlightRecord {
@@ -91,6 +111,13 @@ class FlightRecorder {
   /// Resizes the ring (clearing it). Cold path; call before the run.
   void set_capacity(std::size_t records);
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  /// Switches to keeping every record instead of wrapping (clearing the
+  /// recorder): the mode observed worlds run in. Cold path; call before
+  /// the run.
+  void keep_all() {
+    keep_all_ = true;
+    clear();
+  }
 
   /// Points the recorder at the simulator's virtual-clock storage.
   void bind_clock(const sim::Time* now) { clock_ = now; }
@@ -130,13 +157,14 @@ class FlightRecorder {
     if (!enabled()) return;
     push(RecType::kDrop, cause, FlightRecord::kNoScope, node, 0, kind, 0);
   }
-  /// Raises, state transitions, aborts, resolutions. Scope is the action
-  /// instance id; cause is the current context (usually a delivery).
+  /// Raises, state transitions, aborts, resolutions and the lifecycle
+  /// records. Scope is the action instance (or transaction) id; cause is
+  /// the current context (usually a delivery).
   std::uint64_t record_protocol(RecType type, std::uint32_t object,
                                 std::uint64_t scope, std::uint32_t round,
-                                std::uint32_t code) {
+                                std::uint32_t code, std::uint32_t peer = 0) {
     if (!enabled()) return 0;
-    return push(type, current_cause_, scope, object, 0, code, round);
+    return push(type, current_cause_, scope, object, peer, code, round);
   }
 
   // ---- Introspection --------------------------------------------------
@@ -203,6 +231,7 @@ class FlightRecorder {
   std::uint64_t next_id_ = 1;
   std::uint64_t current_cause_ = 0;
   std::size_t capacity_ = kDefaultCapacity;
+  bool keep_all_ = false;
   std::size_t head_ = 0;  // overwrite position once the ring is full
   std::vector<FlightRecord> ring_;
 };

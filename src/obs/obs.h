@@ -1,23 +1,23 @@
-// The observability hub: one Tracer + one Metrics per simulated world.
+// The observability hub: one flight recorder + one Metrics per simulated
+// world.
 //
 // Owned by sim::Simulator so every layer that can reach the simulator
 // (Network, Runtime → Participant, TxnClient) reaches observability the
 // same way, without new plumbing through constructors.
 //
-// Cost contract (the reason this type exists): all span/instant/table
-// recording in hot paths is guarded by `if (obs.enabled())` — an inlined
-// load of one bool. Compiling with -DCAA_OBS_DISABLED turns enabled() into
-// `constexpr false`, letting the optimizer delete every instrumentation
-// site outright. Counter increments are NOT guarded: they define the
-// behaviour checksum and must be identical whether observability is on or
-// off (the zero-drift test pins this).
+// Cost contract (the reason this type exists): all lifecycle-record and
+// per-round table recording in hot paths is guarded by
+// `if (obs.enabled())` — an inlined load of one bool. Compiling with
+// -DCAA_OBS_DISABLED turns enabled() into `constexpr false`, letting the
+// optimizer delete every instrumentation site outright. Counter increments
+// are NOT guarded: they define the behaviour checksum and must be identical
+// whether observability is on or off (the zero-drift test pins this).
 #pragma once
 
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
-#include "obs/tracer.h"
 #include "obs/watchdog.h"
 
 namespace caa::obs {
@@ -29,7 +29,8 @@ class Observability {
     watchdog_.bind(&recorder_);
   }
 
-  /// True when structured tracing / per-round tabulation should record.
+  /// True when the scope/txn lifecycle records (the span view, see
+  /// obs/chrome_trace.h) and the per-round tables should record.
   [[nodiscard]] bool enabled() const {
 #ifdef CAA_OBS_DISABLED
     return false;
@@ -42,23 +43,16 @@ class Observability {
 #ifndef CAA_OBS_DISABLED
     enabled_ = on;
 #endif
-    tracer_.set_enabled(enabled());
   }
 
-  /// Points the tracer and flight recorder at the simulator's virtual
-  /// clock storage.
-  void bind_clock(const sim::Time* now) {
-    tracer_.bind_clock(now);
-    recorder_.bind_clock(now);
-  }
+  /// Points the flight recorder at the simulator's virtual clock storage.
+  void bind_clock(const sim::Time* now) { recorder_.bind_clock(now); }
 
-  [[nodiscard]] Tracer& tracer() { return tracer_; }
-  [[nodiscard]] const Tracer& tracer() const { return tracer_; }
   [[nodiscard]] Metrics& metrics() { return metrics_; }
   [[nodiscard]] const Metrics& metrics() const { return metrics_; }
-  /// The always-on causal flight recorder. Independent of enabled():
-  /// enabled() gates the *optional* structured tracing, while the recorder
-  /// is the black box that should still be running when a world crashes.
+  /// The always-on causal flight recorder. Its ring runs whether or not
+  /// enabled(): it is the black box that should still be running when a
+  /// world crashes. enabled() adds the lifecycle records.
   [[nodiscard]] FlightRecorder& recorder() { return recorder_; }
   [[nodiscard]] const FlightRecorder& recorder() const { return recorder_; }
   /// Per-subsystem level gauges (obs/health.h). Like the recorder, these
@@ -80,7 +74,6 @@ class Observability {
 #ifndef CAA_OBS_DISABLED
   bool enabled_ = false;
 #endif
-  Tracer tracer_;
   Metrics metrics_;
   FlightRecorder recorder_;
   HealthGauges health_;

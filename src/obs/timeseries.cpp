@@ -9,7 +9,7 @@
 
 namespace caa::obs {
 
-const std::vector<std::string>& default_tracked_counters() {
+const std::vector<std::string>& tracked_counters() {
   static const std::vector<std::string> kDefaults = {
       "net.sent.Exception",     "net.sent.ACK",
       "net.sent.Commit",        "net.sent.HaveNested",
@@ -21,7 +21,7 @@ const std::vector<std::string>& default_tracked_counters() {
   return kDefaults;
 }
 
-const std::vector<std::string>& default_tracked_histograms() {
+const std::vector<std::string>& tracked_histograms() {
   static const std::vector<std::string> kDefaults = {"resolve.latency"};
   return kDefaults;
 }
@@ -43,8 +43,7 @@ void TimeSeries::arm(const TimeSeriesConfig& config) {
   dropped_ = 0;
   ring_.clear();
 
-  counter_names_ =
-      config.counters.empty() ? default_tracked_counters() : config.counters;
+  counter_names_ = tracked_counters();
   counter_ids_.clear();
   for (const std::string& name : counter_names_) {
     counter_ids_.push_back(CounterId::of(name));
@@ -54,8 +53,7 @@ void TimeSeries::arm(const TimeSeriesConfig& config) {
     counter_last_[i] = metrics_->counters().get(counter_ids_[i]);
   }
 
-  histogram_names_ = config.histograms.empty() ? default_tracked_histograms()
-                                               : config.histograms;
+  histogram_names_ = tracked_histograms();
   histogram_ids_.clear();
   for (const std::string& name : histogram_names_) {
     histogram_ids_.push_back(metrics_->histogram(name));

@@ -39,18 +39,14 @@ struct TimeSeriesConfig {
   sim::Time window = 0;
   /// Retained window rows; older rows fall off the ring (counted).
   std::size_t capacity = 4096;
-  /// Tracked counter names. Empty = default_tracked_counters().
-  std::vector<std::string> counters;
-  /// Tracked histogram names. Empty = default_tracked_histograms().
-  std::vector<std::string> histograms;
 };
 
-/// The standard watch list: the five §4.2 protocol kinds as sent, the
-/// overlay envelope kind, the avoidance census kind, the exit handshake,
-/// plus heal and fallback totals.
-[[nodiscard]] const std::vector<std::string>& default_tracked_counters();
-/// {"resolve.latency"} — the raise→handler distribution of PR 4.
-[[nodiscard]] const std::vector<std::string>& default_tracked_histograms();
+/// The watch list every sampler tracks: the five §4.2 protocol kinds as
+/// sent, the overlay envelope kind, the avoidance census kind, the exit
+/// handshake, plus heal and fallback totals.
+[[nodiscard]] const std::vector<std::string>& tracked_counters();
+/// {"resolve.latency"}: the raise→handler latency distribution.
+[[nodiscard]] const std::vector<std::string>& tracked_histograms();
 
 /// One closed window. All vectors are indexed by the table's name lists.
 struct TimeSeriesWindow {

@@ -85,10 +85,11 @@ void Watchdog::diagnose(std::uint64_t scope, sim::Time last_progress,
   if (describer_) describer_(scope, report);
   if (recorder_ != nullptr && recorder_->enabled()) {
     const std::vector<FlightRecord> records = recorder_->snapshot();
-    // Newest protocol record of this scope anchors the causal tail.
+    // Newest protocol record of this scope anchors the causal tail (not a
+    // lifecycle record: the tail must not depend on WorldConfig::observe).
     std::uint64_t anchor = 0;
     for (const FlightRecord& rec : records) {
-      if (rec.scope == scope) anchor = rec.id;
+      if (rec.scope == scope && !is_lifecycle(rec.type)) anchor = rec.id;
     }
     if (anchor != 0) {
       const std::vector<FlightRecord> chain = chain_to(records, anchor);

@@ -77,7 +77,6 @@ void Disseminator::register_scope(ActionInstanceId scope,
                 "Disseminator: object not a committee member");
   Scope s;
   s.members = &members;
-  s.params = params;
   s.tree = RelayTree(members, std::max<std::uint32_t>(1, params.fanout));
   for (ObjectId peer : crashed) s.tree.exclude(peer);
   scopes_.emplace(scope, std::move(s));
@@ -97,9 +96,10 @@ Disseminator::Scope& Disseminator::scope_state(ActionInstanceId scope) {
 Disseminator::Outbox& Disseminator::outbox_for(ActionInstanceId scope,
                                                Scope& s, ObjectId neighbor) {
   if (!s.flush_scheduled) {
+    // Zero delay still batches everything that arrives in this virtual
+    // tick: the flush event is FIFO-ordered behind the tick's deliveries.
     s.flush_scheduled = true;
-    hooks_.schedule(s.params.coalesce_delay,
-                    [this, scope] { flush(scope); });
+    hooks_.schedule(0, [this, scope] { flush(scope); });
   }
   return s.outbox[neighbor];
 }
@@ -167,7 +167,7 @@ void Disseminator::enqueue_flood(ActionInstanceId scope, Scope& s,
 }
 
 void Disseminator::cache_flood(Scope& s, FloodItem&& item) {
-  if (s.flood_cache.size() >= s.params.heal_cache_limit) {
+  if (s.flood_cache.size() >= OverlayParams::kHealCacheLimit) {
     if (counters_ != nullptr) counters_->add(counter_ids().cache_overflow);
     net::BytesPool::local().recycle(std::move(item.payload));
     return;
@@ -176,7 +176,7 @@ void Disseminator::cache_flood(Scope& s, FloodItem&& item) {
 }
 
 void Disseminator::cache_route(Scope& s, const RouteItem& item) {
-  if (s.route_cache.size() >= s.params.heal_cache_limit) {
+  if (s.route_cache.size() >= OverlayParams::kHealCacheLimit) {
     if (counters_ != nullptr) counters_->add(counter_ids().cache_overflow);
     return;
   }
@@ -185,7 +185,7 @@ void Disseminator::cache_route(Scope& s, const RouteItem& item) {
 }
 
 void Disseminator::cache_route(Scope& s, RouteItem&& item) {
-  if (s.route_cache.size() >= s.params.heal_cache_limit) {
+  if (s.route_cache.size() >= OverlayParams::kHealCacheLimit) {
     if (counters_ != nullptr) counters_->add(counter_ids().cache_overflow);
     net::BytesPool::local().recycle(std::move(item.payload));
     return;

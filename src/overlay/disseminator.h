@@ -47,6 +47,7 @@
 #include "obs/health.h"
 #include "overlay/params.h"
 #include "overlay/relay_tree.h"
+#include "sim/event_queue.h"
 #include "util/counters.h"
 #include "util/ids.h"
 #include "util/status.h"
@@ -164,11 +165,10 @@ class Disseminator {
 
   struct Scope {
     const std::vector<ObjectId>* members = nullptr;  // shared, rank order
-    OverlayParams params;
     RelayTree tree;  // live layout; crashed members are excluded from it
     std::uint32_t next_seq = 0;           // this member's origin sequence
     std::unordered_set<std::uint64_t> seen;  // squelch: origin<<32 | seq
-    // Relay caches for healing (bounded by params.heal_cache_limit).
+    // Relay caches for healing (bounded by OverlayParams::kHealCacheLimit).
     std::vector<FloodItem> flood_cache;
     std::vector<RouteItem> route_cache;
     std::map<AckKey, AckBitmap> ack_cache;

@@ -9,40 +9,33 @@
 // InstanceInfo without pulling in the overlay machinery.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-
-#include "sim/event_queue.h"
 
 namespace caa::overlay {
 
 struct OverlayParams {
   /// kFlat: always direct all-to-all (the paper's literal reading).
   /// kTree: always relay over the spanning tree.
-  /// kAuto: tree once the committee reaches `tree_threshold` members —
+  /// kAuto: tree once the committee reaches kTreeThreshold members —
   ///        small committees keep the flat protocol (fewer hops, identical
   ///        wire behaviour with every earlier PR).
   enum class Mode : std::uint8_t { kAuto = 0, kFlat = 1, kTree = 2 };
+
+  /// kAuto switches to the tree at this member count.
+  static constexpr std::uint32_t kTreeThreshold = 128;
+
+  /// Per-scope relay-cache budget (items) for crash healing. Re-flooding
+  /// after a relay dies needs the items seen so far; beyond this many the
+  /// cache stops growing (counted under overlay.cache_overflow) and healing
+  /// becomes best-effort. Chaos worlds never get near it.
+  static constexpr std::uint32_t kHealCacheLimit = 65536;
 
   Mode mode = Mode::kAuto;
 
   /// Relay fan-out k: each tree position has up to k children. 8 keeps a
   /// 4096-member committee at depth 4.
   std::uint32_t fanout = 8;
-
-  /// kAuto switches to the tree at this member count.
-  std::uint32_t tree_threshold = 128;
-
-  /// Extra hold-down before a relay flushes its per-neighbor outboxes.
-  /// 0 still batches everything that arrives in the same virtual tick
-  /// (the flush event is FIFO-ordered behind the tick's deliveries).
-  sim::Time coalesce_delay = 0;
-
-  /// Per-scope relay-cache budget (items) for crash healing. Re-flooding
-  /// after a relay dies needs the items seen so far; beyond this many the
-  /// cache stops growing (counted under overlay.cache_overflow) and healing
-  /// becomes best-effort — crash-free mega-committee benches set this low,
-  /// chaos worlds never get near it.
-  std::uint32_t heal_cache_limit = 65536;
 
   /// Decision for a committee of `members` objects. Trees need at least
   /// three members to differ from direct sends.
@@ -53,7 +46,7 @@ struct OverlayParams {
       case Mode::kTree:
         return members >= 2;
       case Mode::kAuto:
-        return members >= tree_threshold;
+        return members >= kTreeThreshold;
     }
     return false;
   }

@@ -43,9 +43,6 @@ ResolverCore::ResolverCore(ObjectId self,
 }
 
 ResolverCore::~ResolverCore() {
-  if (round_span_.valid() && hooks_.obs != nullptr) {
-    hooks_.obs->tracer().end_args(round_span_, "superseded");
-  }
   // A superseded engine retracts its gauge contributions so world-level
   // levels stay exact.
   if (obs::HealthGauges* h = health(); h != nullptr) {
@@ -113,16 +110,6 @@ void ResolverCore::note_send(net::MsgKind kind, std::int64_t n) {
   }
 }
 
-void ResolverCore::begin_round_span() {
-  if (hooks_.obs != nullptr && hooks_.obs->enabled() &&
-      !round_span_.valid()) {
-    // Async: an outer action's round outlives nested action spans on this
-    // track when the round aborts them (Figure 4), so it cannot stack-nest.
-    round_span_ = hooks_.obs->tracer().begin_async(
-        hooks_.obs_track, "round", "round " + std::to_string(round_));
-  }
-}
-
 void ResolverCore::raise(ExceptionId exception, std::string message) {
   CAA_CHECK_MSG(state_ == State::kNormal,
                 "raise() allowed only in the Normal state (one exception per "
@@ -130,7 +117,6 @@ void ResolverCore::raise(ExceptionId exception, std::string message) {
   CAA_CHECK_MSG(tree_->contains(exception),
                 "raise(): exception not declared in the action's tree");
   state_ = State::kExceptional;
-  begin_round_span();
   record_flight(obs::RecType::kRaise, exception.value());
   record_exception(exception, self_, std::move(message));
   awaiting_acks_ = true;
@@ -153,7 +139,6 @@ void ResolverCore::on_trigger_while_nested(
   CAA_CHECK_MSG(state_ == State::kNormal,
                 "nested trigger in a non-Normal outer context");
   state_ = State::kAborting;
-  begin_round_span();
   record_flight(obs::RecType::kState, static_cast<std::uint32_t>(state_));
   hooks_.multicast(net::MsgKind::kHaveNested,
                    encode(HaveNestedMsg{scope_, round_, self_}));
@@ -372,7 +357,6 @@ void ResolverCore::send_ack(ObjectId to) {
 void ResolverCore::suspend_if_normal() {
   if (state_ == State::kNormal) {
     state_ = State::kSuspended;
-    begin_round_span();
     record_flight(obs::RecType::kState, static_cast<std::uint32_t>(state_));
   }
 }
@@ -505,11 +489,6 @@ void ResolverCore::finish(const CommitMsg& m) {
   // The terminal record the critical-path extractor walks back from: its
   // causal ancestry is exactly the message chain that completed the round.
   record_flight(obs::RecType::kResolved, m.resolved.value());
-  if (round_span_.valid()) {
-    hooks_.obs->tracer().end_args(round_span_,
-                                  "resolved " + tree_->name_of(m.resolved));
-    round_span_ = obs::SpanId::invalid();
-  }
   // §4.2: "empty LE_i, LO_i, LP_i; start handler for E".
   le_.clear();
   std::fill(lo_state_.begin(), lo_state_.end(), kLoAbsent);

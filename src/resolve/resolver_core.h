@@ -71,13 +71,12 @@ class ResolverCore {
     /// HaveNested, so its buffered messages scoped to nested actions are
     /// obsolete.
     std::function<void(ObjectId peer)> purge_nested_from;
-    /// Optional observability hub. When set and enabled, the engine opens a
-    /// span per resolution round on `obs_track` and tabulates its protocol
-    /// sends per (scope, round, kind) for the §4.4 run report. Guarded by
-    /// obs->enabled() at every use — null or disabled costs one branch.
+    /// Optional observability hub. The engine records raises, state
+    /// transitions and resolutions into the hub's flight recorder (a
+    /// round's span is drawn from them), and when enabled tabulates its
+    /// protocol sends per (scope, round, kind) for the §4.4 run report —
+    /// null or disabled costs one branch.
     obs::Observability* obs = nullptr;
-    /// Tracer track the round spans land on (the owner's object id).
-    obs::TrackId obs_track = 0;
   };
 
   /// `members` must be the sorted participant list of the action (G_A),
@@ -98,8 +97,8 @@ class ResolverCore {
                const ex::ExceptionTree* tree, ActionInstanceId scope,
                std::uint32_t round, Hooks hooks, std::uint32_t committee = 1);
 
-  /// Closes this round's span if the engine dies mid-resolution (the round
-  /// was superseded by an outer resolution aborting the whole context).
+  /// Retracts this engine's health-gauge contributions (a superseded round
+  /// must not leave the world-level levels raised).
   ~ResolverCore();
 
   /// Crash-tolerance extension (fail-stop model): `peer` has just been
@@ -218,8 +217,6 @@ class ResolverCore {
   /// Pushes a protocol record (raise / state / resolved) into the flight
   /// recorder (no-op when the recorder is off or no hub is wired).
   void record_flight(obs::RecType type, std::uint32_t code);
-  /// Opens the round span on first departure from Normal (idempotent).
-  void begin_round_span();
   void suspend_if_normal();
   void maybe_ready();
   /// Runs the Ready-state obligations: apply a held commit, or — unless the
@@ -272,7 +269,6 @@ class ResolverCore {
   std::optional<CommitMsg> pending_commit_;
   std::vector<AnyMsg> queued_;  // messages deferred while kAborting
   ExceptionId resolved_;
-  obs::SpanId round_span_ = obs::SpanId::invalid();
   // This engine's last-pushed gauge contributions (so deltas are exact and
   // the destructor can retract them when a round is superseded).
   std::int64_t active_gauge_ = 0;

@@ -61,7 +61,7 @@ class Simulator {
   [[nodiscard]] bool idle() const { return queue_.empty(); }
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
-  /// The observability hub (structured tracer + metrics facade), bound to
+  /// The observability hub (flight recorder + metrics facade), bound to
   /// this simulator's virtual clock. All accounting lives here.
   obs::Observability& obs() { return obs_; }
   const obs::Observability& obs() const { return obs_; }

@@ -23,9 +23,8 @@ TxnId TxnClient::begin(TxnId parent) {
   }
   if (obs::Observability* o = observing()) {
     rec.began = now();
-    rec.span = o->tracer().begin_async(
-        id().value(), "txn",
-        (parent.valid() ? "nested txn " : "txn ") + std::to_string(seq));
+    o->recorder().record_protocol(obs::RecType::kTxnBegin, id().value(),
+                                  txn.value(), 0, seq, parent.valid() ? 1 : 0);
   }
   txns_.emplace(txn, std::move(rec));
   return txn;
@@ -37,15 +36,14 @@ obs::Observability* TxnClient::observing() const {
   return o.enabled() ? &o : nullptr;
 }
 
-void TxnClient::note_txn_finished(TxnRecord& rec, const char* outcome) {
-  if (!rec.span.valid()) return;
-  obs::Observability& o = runtime().simulator().obs();
-  o.tracer().end_args(rec.span, outcome);
-  if (o.enabled()) {
-    o.metrics().record(o.metrics().histogram("txn.latency"),
-                       now() - rec.began);
-  }
-  rec.span = obs::SpanId::invalid();
+void TxnClient::note_txn_finished(TxnId txn, const TxnRecord& rec,
+                                  bool committed) {
+  obs::Observability* o = observing();
+  if (o == nullptr) return;
+  o->recorder().record_protocol(obs::RecType::kTxnEnd, id().value(),
+                                txn.value(), 0, committed ? 1 : 0);
+  o->metrics().record(o->metrics().histogram("txn.latency"),
+                      now() - rec.began);
 }
 
 bool TxnClient::active(TxnId txn) const {
@@ -121,7 +119,7 @@ void TxnClient::commit(TxnId txn, DoneCb cb) {
     TxnRecord& parent = record(rec.parent);
     rec.awaiting = rec.hosts.size();
     if (rec.awaiting == 0) {
-      note_txn_finished(rec, "committed");
+      note_txn_finished(txn, rec, /*committed=*/true);
       auto finish = std::move(rec.finish);
       txns_.erase(txn);
       ++commits_;
@@ -138,7 +136,7 @@ void TxnClient::commit(TxnId txn, DoneCb cb) {
         CAA_CHECK(r.awaiting > 0);
         r.all_yes = r.all_yes && status.is_ok();
         if (--r.awaiting > 0) return;
-        note_txn_finished(r, r.all_yes ? "committed" : "aborted");
+        note_txn_finished(txn, r, r.all_yes);
         auto finish = std::move(r.finish);
         const bool ok = r.all_yes;
         txns_.erase(txn);
@@ -163,7 +161,7 @@ void TxnClient::commit(TxnId txn, DoneCb cb) {
   rec.awaiting = rec.hosts.size();
   rec.all_yes = true;
   if (rec.awaiting == 0) {
-    note_txn_finished(rec, "committed");
+    note_txn_finished(txn, rec, /*committed=*/true);
     auto finish = std::move(rec.finish);
     txns_.erase(txn);
     ++commits_;
@@ -190,7 +188,7 @@ void TxnClient::fan_out_abort(TxnId txn, DoneCb cb) {
   rec.finish = std::move(cb);
   rec.awaiting = rec.hosts.size();
   if (rec.awaiting == 0) {
-    note_txn_finished(rec, "aborted");
+    note_txn_finished(txn, rec, /*committed=*/false);
     auto finish = std::move(rec.finish);
     txns_.erase(txn);
     ++aborts_;
@@ -205,7 +203,7 @@ void TxnClient::fan_out_abort(TxnId txn, DoneCb cb) {
       TxnRecord& r = record(txn);
       CAA_CHECK(r.awaiting > 0);
       if (--r.awaiting > 0) return;
-      note_txn_finished(r, "aborted");
+      note_txn_finished(txn, r, /*committed=*/false);
       auto finish = std::move(r.finish);
       txns_.erase(txn);
       ++aborts_;
@@ -288,7 +286,7 @@ void TxnClient::on_message(ObjectId from, net::MsgKind kind,
       TxnRecord& rec = it->second;
       CAA_CHECK(rec.awaiting > 0);
       if (--rec.awaiting > 0) return;
-      note_txn_finished(rec, rec.all_yes ? "committed" : "aborted");
+      note_txn_finished(it->first, rec, rec.all_yes);
       auto finish = std::move(rec.finish);
       const bool committed = rec.all_yes;
       txns_.erase(it);

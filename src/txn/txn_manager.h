@@ -69,10 +69,7 @@ class TxnClient : public rt::ManagedObject {
     std::size_t awaiting = 0;
     bool all_yes = true;
     DoneCb finish;
-    // Structured-trace span covering begin()..terminal outcome (async: a
-    // client can coordinate overlapping transactions on one track).
-    obs::SpanId span = obs::SpanId::invalid();
-    sim::Time began = 0;
+    sim::Time began = 0;  // when observed: start of the txn.latency sample
   };
 
   struct PendingOp {
@@ -87,9 +84,10 @@ class TxnClient : public rt::ManagedObject {
   void finish_op(const TxnOpReply& reply);
   TxnRecord& record(TxnId txn);
   [[nodiscard]] obs::Observability* observing() const;
-  /// Ends the transaction's span with its outcome and records commit/abort
-  /// latency. Must run before the record is erased.
-  void note_txn_finished(TxnRecord& rec, const char* outcome);
+  /// When observed: records the transaction's outcome (its span ends
+  /// there, see obs/chrome_trace.h) and its commit/abort latency. Must run
+  /// before the record is erased.
+  void note_txn_finished(TxnId txn, const TxnRecord& rec, bool committed);
 
   std::map<TxnId, TxnRecord> txns_;
   std::map<std::uint64_t, PendingOp> pending_;

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -106,6 +107,88 @@ TEST(FlightRecorder, EncodeDecodeRoundTrip) {
   EXPECT_EQ(dump.records[3].type, RecType::kDrop);
 }
 
+TEST(FlightRecorder, LifecycleRecordsRoundTrip) {
+  // One record of every lifecycle type, with the fields each one uses.
+  FlightRecorder rec;
+  sim::Time now = 500;
+  rec.bind_clock(&now);
+  const std::vector<FlightRecord> want = {
+      {.scope = 3, .actor = 1, .type = RecType::kEnter},
+      {.scope = 3, .actor = 1, .code = 0, .round = 2, .type = RecType::kDone},
+      {.scope = 3, .actor = 1, .round = 2, .type = RecType::kTakeover},
+      {.scope = 3, .actor = 1, .code = 5, .round = 2,
+       .type = RecType::kHandler},
+      {.scope = 3, .actor = 1, .round = 2, .type = RecType::kHandlerEnd},
+      {.scope = 4, .actor = 1, .code = ExceptionId::invalid().value(),
+       .type = RecType::kAbortHandler},
+      {.scope = 3, .actor = 1, .peer = 1, .code = 2, .round = 3,
+       .type = RecType::kLeave},
+      {.scope = (2ULL << 32) | 7, .actor = 2, .peer = 1, .code = 7,
+       .type = RecType::kTxnBegin},
+      {.scope = (2ULL << 32) | 7, .actor = 2, .code = 1,
+       .type = RecType::kTxnEnd},
+  };
+  for (const FlightRecord& r : want) {
+    ++now;
+    rec.record_protocol(r.type, r.actor, r.scope, r.round, r.code, r.peer);
+  }
+  const Result<FlightDump> decoded = FlightRecorder::decode(rec.encode(1, 0));
+  ASSERT_TRUE(decoded.is_ok()) << decoded.status();
+  const std::vector<FlightRecord>& got = decoded.value().records;
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE(std::string(obs::rec_type_name(want[i].type)));
+    EXPECT_TRUE(obs::is_lifecycle(got[i].type));
+    EXPECT_EQ(got[i].type, want[i].type);
+    EXPECT_EQ(got[i].id, i + 1);
+    EXPECT_EQ(got[i].time, static_cast<sim::Time>(501 + i));
+    EXPECT_EQ(got[i].scope, want[i].scope);
+    EXPECT_EQ(got[i].actor, want[i].actor);
+    EXPECT_EQ(got[i].peer, want[i].peer);
+    EXPECT_EQ(got[i].code, want[i].code);
+    EXPECT_EQ(got[i].round, want[i].round);
+    EXPECT_NE(obs::format_record(got[i]).find(obs::rec_type_name(got[i].type)),
+              std::string::npos);
+  }
+}
+
+TEST(FlightRecorder, ObservedWorldKeepsEveryRecord) {
+  // Spans are paired from the whole record, so an observed world's
+  // recorder never wraps; the same world unobserved keeps its 4096-record
+  // ring and writes no lifecycle record.
+  const auto run = [](bool observe) {
+    scenario::FlatOptions o;
+    o.participants = 100;
+    o.raisers = 10;
+    o.world.observe = observe;
+    auto s = std::make_unique<scenario::FlatScenario>(o);
+    s->run();
+    return s;
+  };
+  const auto observed = run(true);
+  const FlightRecorder& kept = observed->world().recorder();
+  EXPECT_GT(kept.recorded_total(), FlightRecorder::kDefaultCapacity);
+  EXPECT_EQ(kept.overwritten(), 0u);
+  EXPECT_EQ(kept.size(), kept.recorded_total());
+  const std::vector<FlightRecord> records = kept.snapshot();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    ASSERT_EQ(records[i].id, i + 1);
+  }
+
+  const auto unobserved = run(false);
+  const FlightRecorder& ring = unobserved->world().recorder();
+  EXPECT_EQ(ring.size(), FlightRecorder::kDefaultCapacity);
+  EXPECT_GT(ring.overwritten(), 0u);
+  for (const FlightRecord& r : ring.snapshot()) {
+    EXPECT_FALSE(obs::is_lifecycle(r.type)) << obs::format_record(r);
+  }
+  // The lifecycle records are the only difference between the two.
+  std::size_t lifecycle = 0;
+  for (const FlightRecord& r : records) lifecycle += obs::is_lifecycle(r.type);
+  EXPECT_GT(lifecycle, 0u);
+  EXPECT_EQ(kept.recorded_total() - lifecycle, ring.recorded_total());
+}
+
 TEST(FlightRecorder, DecodeRejectsGarbage) {
   net::Bytes empty;
   EXPECT_FALSE(FlightRecorder::decode(empty).is_ok());
@@ -123,6 +206,10 @@ TEST(FlightRecorder, DecodeRejectsGarbage) {
   net::Bytes trailing = rec.encode(1, 0);
   trailing.push_back(std::byte{0});
   EXPECT_FALSE(FlightRecorder::decode(trailing).is_ok());
+
+  net::Bytes unknown_type = rec.encode(1, 0);
+  unknown_type.back() = std::byte{17};  // the record's type: past kTxnEnd
+  EXPECT_FALSE(FlightRecorder::decode(unknown_type).is_ok());
 }
 
 // ---------------------------------------------------------------------------

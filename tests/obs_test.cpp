@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "caa/world.h"
 #include "scenario/scenarios.h"
@@ -140,12 +141,12 @@ class JsonChecker {
 
 // ---------------------------------------------------------------------------
 
-TEST(ChromeTrace, GoldenExample1) {
+/// Byte-exact comparison against tests/golden/<name>: the exporter promises
+/// determinism, and any accidental wall-clock or pointer leak into the trace
+/// breaks this immediately. CAA_UPDATE_GOLDEN=1 rewrites the file instead.
+void expect_golden(const std::string& trace, const std::string& name) {
   const std::string golden_path =
-      std::string(CAA_TEST_DATA_DIR) + "/golden/example1_chrome_trace.json";
-  const auto w = run_example1(/*observe=*/true);
-  const std::string trace = w->world().chrome_trace();
-
+      std::string(CAA_TEST_DATA_DIR) + "/golden/" + name;
   if (std::getenv("CAA_UPDATE_GOLDEN") != nullptr) {
     std::ofstream out(golden_path, std::ios::binary);
     ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
@@ -159,16 +160,30 @@ TEST(ChromeTrace, GoldenExample1) {
                          << " — run once with CAA_UPDATE_GOLDEN=1";
   std::ostringstream buf;
   buf << in.rdbuf();
-  // Byte-exact: the exporter promises determinism, and any accidental
-  // wall-clock or pointer leak into the trace breaks this immediately.
   EXPECT_EQ(trace, buf.str());
+}
+
+TEST(ChromeTrace, GoldenExample1) {
+  const auto w = run_example1(/*observe=*/true);
+  expect_golden(w->world().chrome_trace(), "example1_chrome_trace.json");
+}
+
+TEST(ChromeTrace, GoldenFigure4) {
+  // §4.3 Example 2: the outer resolution aborts A3 then A2 innermost-first
+  // (A2's abortion handler signals), supersedes the nested rounds it cuts
+  // short, and refuses the belated participant.
+  scenario::Figure4Options options;
+  options.world.observe = true;
+  scenario::Figure4Scenario fig4(options);
+  fig4.run();
+  expect_golden(fig4.world().chrome_trace(), "figure4_chrome_trace.json");
 }
 
 TEST(ChromeTrace, ByteStableAcrossIdenticalWorlds) {
   const auto w1 = run_example1(true);
   const auto w2 = run_example1(true);
   EXPECT_EQ(w1->world().chrome_trace(), w2->world().chrome_trace());
-  EXPECT_FALSE(w1->world().tracer().spans().empty());
+  EXPECT_FALSE(w1->world().spans().spans.empty());
 }
 
 TEST(ChromeTrace, ExportIsWellFormedJson) {
@@ -191,13 +206,13 @@ TEST(ChromeTrace, SyncSpansNestPerTrack) {
   options.world.observe = true;
   scenario::Figure4Scenario fig4(options);
   fig4.run();
-  const obs::Tracer& tracer = fig4.world().tracer();
-  ASSERT_FALSE(tracer.spans().empty());
+  const obs::SpanLog log = fig4.world().spans();
+  ASSERT_FALSE(log.spans.empty());
 
-  const sim::Time horizon = tracer.last_time();
-  std::map<obs::TrackId, std::vector<const obs::Span*>> stacks;
+  const sim::Time horizon = log.horizon;
+  std::map<std::uint32_t, std::vector<const obs::Span*>> stacks;
   sim::Time previous_begin = 0;
-  for (const obs::Span& span : tracer.spans()) {
+  for (const obs::Span& span : log.spans) {
     const sim::Time end = span.end >= 0 ? span.end : horizon;
     EXPECT_GE(span.begin, 0);
     EXPECT_GE(end, span.begin) << span.name;
@@ -222,10 +237,57 @@ TEST(ChromeTrace, SyncSpansNestPerTrack) {
   }
 }
 
+TEST(ChromeTrace, ResolutionSupersedesAcceptanceLineWait) {
+  // O1 completes and waits at the acceptance line; O2 then raises. The
+  // resolution takes O1's wait over: its barrier ends "superseded" when
+  // the handler starts, and a second barrier opens when the handler
+  // completes the action anew.
+  WorldConfig config;
+  config.observe = true;
+  World w(config);
+  auto& o1 = w.add_participant("O1");
+  auto& o2 = w.add_participant("O2");
+  ex::ExceptionTree tree;
+  tree.declare("E");
+  const auto& decl = w.actions().declare("A", std::move(tree));
+  const auto& a = w.actions().create_instance(decl, {o1.id(), o2.id()});
+  for (action::Participant* p : {&o1, &o2}) {
+    ASSERT_TRUE(p->enter(a.instance,
+                         action::EnterConfig::with(action::uniform_handlers(
+                             decl.tree(), ex::HandlerResult::recovered(50)))));
+  }
+  w.at(500, [&] { o1.complete(); });
+  w.at(1000, [&] { o2.raise("E"); });
+  w.run();
+  ASSERT_FALSE(o1.in_action());
+
+  const obs::SpanLog log = w.spans();
+  ASSERT_EQ(log.tracks, (std::vector<std::string>{"O1", "O2"}));
+  std::vector<const obs::Span*> o1_barriers;
+  const obs::Span* o1_handler = nullptr;
+  for (const obs::Span& span : log.spans) {
+    if (span.track != o1.id().value()) continue;
+    if (span.category == "barrier") o1_barriers.push_back(&span);
+    if (span.category == "handler") o1_handler = &span;
+  }
+  ASSERT_EQ(o1_barriers.size(), 2u);
+  ASSERT_NE(o1_handler, nullptr);
+  EXPECT_EQ(o1_handler->name, "handle E");
+  EXPECT_EQ(o1_barriers[0]->name, "barrier r0");
+  EXPECT_EQ(o1_barriers[0]->begin, 500);
+  EXPECT_EQ(o1_barriers[0]->args, "superseded");
+  EXPECT_EQ(o1_barriers[0]->end, o1_handler->begin);
+  EXPECT_EQ(o1_barriers[1]->name, "barrier r1");
+  EXPECT_EQ(o1_barriers[1]->begin, o1_handler->end);
+  EXPECT_EQ(o1_handler->end - o1_handler->begin, 50);
+  EXPECT_TRUE(o1_barriers[1]->args.empty());
+  EXPECT_LE(o1_barriers[1]->end, log.horizon);
+}
+
 TEST(Observability, DisabledRecordsNoSpansOrRounds) {
   const auto w = run_example1(/*observe=*/false);
-  EXPECT_TRUE(w->world().tracer().spans().empty());
-  EXPECT_TRUE(w->world().tracer().instants().empty());
+  EXPECT_TRUE(w->world().spans().spans.empty());
+  EXPECT_TRUE(w->world().spans().instants.empty());
   EXPECT_TRUE(w->world().metrics().observed_actions().empty());
   // The §4.4 headline number still works: counters are unconditional.
   EXPECT_EQ(w->world().metrics().resolution_messages(), 10);
@@ -237,7 +299,7 @@ TEST(Observability, ZeroCounterDriftExample1) {
   EXPECT_EQ(on->world().metrics().counters().to_string(),
             off->world().metrics().counters().to_string());
   EXPECT_EQ(on->world().simulator().now(), off->world().simulator().now());
-  EXPECT_FALSE(on->world().tracer().spans().empty());
+  EXPECT_FALSE(on->world().spans().spans.empty());
 }
 
 TEST(Observability, ZeroCounterDriftFigure4) {

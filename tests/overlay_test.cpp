@@ -152,8 +152,8 @@ TEST(OverlayDissemination, TreeResolvesSameExceptionsAsFlat) {
   // No savings claim at this size: with few raisers and a small committee
   // the per-edge envelope waves cost more than the flat fan-out they
   // replace — which is exactly why kAuto keeps committees below
-  // tree_threshold on the flat protocol. The scale win is asserted at
-  // N=256 below.
+  // OverlayParams::kTreeThreshold on the flat protocol. The scale win is
+  // asserted at N=256 below.
 }
 
 TEST(OverlayDissemination, DegenerateFanoutStarStillMatchesFlat) {

@@ -43,6 +43,9 @@ for preset in "${presets[@]}"; do
   # land mid-census, forcing the fast path's fallback/replay machinery).
   # Under asan these double as a memory audit of the crash/restart/
   # partition, tree-healing, paxos-recovery and census-fallback paths.
+  # The dev preset also runs 20k mixed plans under Paxos Commit at seed
+  # 42, whose trial 19548 once killed the process: a Done's recovery round
+  # decided and closed the scope before the member's own vote went out.
   case "${preset}" in
     dev)
       "build/tools/caa-chaos" --plans 200 --threads "${jobs}"
@@ -52,6 +55,8 @@ for preset in "${presets[@]}"; do
         --exit paxos --threads "${jobs}"
       "build/tools/caa-chaos" --plans 200 --profile crash-heavy \
         --avoid --threads "${jobs}"
+      "build/tools/caa-chaos" --plans 20000 --seed 42 --exit paxos \
+        --threads "${jobs}"
       ;;
     asan)
       "build-asan/tools/caa-chaos" --plans 200 --threads "${jobs}"
@@ -147,12 +152,14 @@ echo "engine, overlay and relay tree read the shared membership"
 
 # One protocol event stream: the flight recorder (src/obs/flight_recorder.h)
 # records every protocol step as a typed record, and the §4.3 narrative
-# tests, caa-inspect and caa-chaos --trace all read it. A second, string-
-# formatted narrative log, the hooks that fed it or the per-layer trace
-# helpers that built detail strings for it must not regrow.
+# tests, caa-inspect, caa-chaos --trace and the Chrome trace (spans paired
+# from an observed world's records, obs/chrome_trace.h) all read it. A
+# second, string-formatted narrative log, a span tracer, the hooks that fed
+# them or the per-layer helpers that built detail strings for them must not
+# regrow.
 echo "==== one protocol event stream grep gate ==================="
 if grep -rnE --exclude=check.sh \
-    'TraceLog|sim/trace\.h|trace_enabled|exit_trace|hooks_?\.trace\b|void trace\(std::string_view' \
+    'TraceLog|sim/trace\.h|trace_enabled|exit_trace|hooks_?\.trace\b|void trace\(std::string_view|obs::Tracer|tracer\(\)|SpanId|begin_async|set_track_name|obs/tracer\.h' \
     src tools bench examples; then
   echo "a second protocol event stream is back" >&2
   echo "(record protocol steps in obs::FlightRecorder and render from it)" >&2
