@@ -15,7 +15,6 @@
 #include "exit/exit_kind.h"
 #include "net/message.h"
 #include "overlay/params.h"
-#include "sim/event_queue.h"
 #include "util/ids.h"
 #include "util/status.h"
 
@@ -49,13 +48,8 @@ struct InstanceInfo {
   /// never initiates fast rounds.
   bool resolve_avoidance = false;
 
-  /// Census probe delay for this instance's fast rounds (see
-  /// WorldConfig::avoidance_probe_delay).
-  sim::Time avoidance_probe_delay = 250;
-
   [[nodiscard]] ObjectId leader() const { return members.front(); }
   [[nodiscard]] bool is_member(ObjectId o) const;
-  [[nodiscard]] bool is_outermost() const { return !parent.valid(); }
 };
 
 /// Exit-barrier outcome decided by the leader.

@@ -46,7 +46,6 @@ const InstanceInfo& ActionManager::create_instance(const ActionDecl& decl,
   inst->use_tree = overlay_defaults_.tree_for(inst->members.size());
   inst->exit = exit_default_;
   inst->resolve_avoidance = resolve_avoidance_;
-  inst->avoidance_probe_delay = avoidance_probe_delay_;
   const InstanceInfo& ref = *inst;
   instances_.emplace(inst->instance, std::move(inst));
   return ref;

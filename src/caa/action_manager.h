@@ -57,14 +57,10 @@ class ActionManager {
   void set_overlay_defaults(const overlay::OverlayParams& params) {
     overlay_defaults_ = params;
   }
-  [[nodiscard]] const overlay::OverlayParams& overlay_defaults() const {
-    return overlay_defaults_;
-  }
 
   /// Exit-protocol default stamped onto every instance created afterwards
   /// (see WorldConfig::exit_protocol).
   void set_exit_defaults(exit::ExitKind kind) { exit_default_ = kind; }
-  [[nodiscard]] exit::ExitKind exit_defaults() const { return exit_default_; }
 
   /// When on, participants ACK applied final Leaves so the per-scope leave
   /// records can be garbage-collected (see WorldConfig::exit_gc).
@@ -76,12 +72,6 @@ class ActionManager {
   void set_resolve_avoidance(bool on) { resolve_avoidance_ = on; }
   [[nodiscard]] bool resolve_avoidance() const { return resolve_avoidance_; }
 
-  /// Census probe delay stamped onto every instance created afterwards
-  /// (see WorldConfig::avoidance_probe_delay).
-  void set_avoidance_probe_delay(sim::Time delay) {
-    avoidance_probe_delay_ = delay;
-  }
-
   /// Test-only planted-bug switches (see DebugBugs / WorldConfig).
   void set_debug_bugs(const DebugBugs& bugs) { debug_bugs_ = bugs; }
   [[nodiscard]] const DebugBugs& debug_bugs() const { return debug_bugs_; }
@@ -91,7 +81,6 @@ class ActionManager {
   exit::ExitKind exit_default_ = exit::ExitKind::kBarrier;
   bool exit_gc_ = false;
   bool resolve_avoidance_ = false;
-  sim::Time avoidance_probe_delay_ = 250;
   DebugBugs debug_bugs_;
   std::vector<std::unique_ptr<ActionDecl>> decls_;
   std::unordered_map<ActionInstanceId, std::unique_ptr<InstanceInfo>>

@@ -103,6 +103,7 @@ bool Participant::enter(ActionInstanceId instance, EnterConfig config) {
   Dyn& dyn = it->second;
   dyn.info = &info;
   dyn.config = std::move(config);
+  dyn.excluded = &exclusions_of(info);
 
   ex::Context context;
   context.instance = instance;
@@ -114,13 +115,8 @@ bool Participant::enter(ActionInstanceId instance, EnterConfig config) {
 
   // Tree-mode scope: join the relay overlay before any message can flow, so
   // this member relays (and delivers) from the first envelope on.
-  if (info.use_tree) ensure_overlay(info);
+  if (info.use_tree) join_overlay(info);
 
-  // Members already known to have crashed are excluded from the start; the
-  // scope's engines, exit protocol and avoidance all read this one set.
-  for (ObjectId peer : crashed_) {
-    if (info.is_member(peer)) dyn.excluded.insert(peer);
-  }
   dyn.engine = make_engine(dyn, instance);
   dyn.exit = dyn.config.exit_factory
                  ? dyn.config.exit_factory(*this, info)
@@ -131,7 +127,7 @@ bool Participant::enter(ActionInstanceId instance, EnterConfig config) {
   // live members before resolving anything. Their status replies carry any
   // commit of a round this belated entrant missed entirely (its buffered
   // copy, if one was ever sent, is from-crashed traffic and void).
-  for (ObjectId member : dyn.excluded) begin_crash_sync(instance, dyn, member);
+  for (ObjectId peer : *dyn.excluded) begin_crash_sync(instance, dyn, peer);
   record_lifecycle(obs::RecType::kEnter, instance);
   sync_caa_health();
   wd_open(instance);
@@ -302,8 +298,7 @@ void Participant::route_resolution(ObjectId from, net::MsgKind kind,
   }
   Dyn* dyn = find_dyn(scope);
   if (dyn == nullptr) {
-    // Belated: not (yet) entered. Buffer until entry (§4.2 entry rule).
-    pending_[scope].push_back(RawMsg{from, kind, payload});
+    buffer_belated(scope, RawMsg{from, kind, payload});
     return;
   }
   if (dyn->aborting) {
@@ -336,7 +331,6 @@ void Participant::ack_stale(ObjectId from, net::MsgKind kind,
       kind == net::MsgKind::kNestedCompleted) {
     const Dyn* dyn = find_dyn(scope);
     if (dyn != nullptr && dyn->info->use_tree) {
-      ensure_overlay(*dyn->info);
       overlay_.send_ack(scope, round, from);
     } else {
       send(from, net::MsgKind::kAck,
@@ -441,6 +435,11 @@ void Participant::drain_pending(ActionInstanceId scope) {
   }
 }
 
+void Participant::buffer_belated(ActionInstanceId scope, RawMsg msg) {
+  if (manager_.known(scope)) exclusions_of(manager_.info(scope));
+  pending_[scope].push_back(std::move(msg));
+}
+
 void Participant::purge_pending_from(ObjectId peer) {
   // §4.2 "clean up messages related to nested actions": peer is aborting all
   // its nested actions, so its buffered messages scoped to actions we never
@@ -464,10 +463,7 @@ void Participant::on_fast_cover(ObjectId from, const net::Bytes& payload) {
   }
   Dyn* dyn = find_dyn(m.scope);
   if (dyn == nullptr) {
-    // Belated: not (yet) entered. Buffer until entry, like any resolution
-    // traffic (§4.2 entry rule).
-    pending_[m.scope].push_back(RawMsg{from, net::MsgKind::kFastCover,
-                                       payload});
+    buffer_belated(m.scope, RawMsg{from, net::MsgKind::kFastCover, payload});
     return;
   }
   if (dyn->aborting) {
@@ -498,7 +494,6 @@ resolve::AvoidanceCoordinator& Participant::ensure_avoidance(
         d != nullptr && d->info->use_tree) {
       // Census traffic rides the relay overlay like exit traffic: the
       // leader is the lowest live member — exactly the relay-tree root.
-      ensure_overlay(*d->info);
       overlay_.route(scope, to, net::MsgKind::kFastCover, std::move(payload));
       return;
     }
@@ -529,7 +524,7 @@ resolve::AvoidanceCoordinator& Participant::ensure_avoidance(
     if (d == nullptr || d->aborting || d->done_sent || d->handling) {
       return false;
     }
-    if (!d->excluded.empty()) return false;
+    if (!d->excluded->empty()) return false;
     // The scope must be this participant's active context: a nested child
     // in flight needs the HaveNested/abortion machinery the census skips.
     if (!in_action() || contexts_.active().instance != scope) return false;
@@ -559,9 +554,8 @@ resolve::AvoidanceCoordinator& Participant::ensure_avoidance(
     run_guarded(scope, delay, std::move(fn));
   };
   dyn.avoidance = std::make_unique<resolve::AvoidanceCoordinator>(
-      id(), &dyn.info->members, &dyn.excluded, &dyn.info->decl->tree(), scope,
-      dyn.info->avoidance_probe_delay, std::move(hooks),
-      &runtime().simulator().counters(),
+      id(), &dyn.info->members, dyn.excluded, &dyn.info->decl->tree(), scope,
+      std::move(hooks), &runtime().simulator().counters(),
       &runtime().simulator().obs().health());
   return *dyn.avoidance;
 }
@@ -582,7 +576,6 @@ resolve::ResolverCore::Hooks Participant::make_hooks(ActionInstanceId scope) {
       if (const Dyn* dyn = find_dyn(scope);
           dyn != nullptr && dyn->info->use_tree) {
         if (const auto sr = resolve::peek_scope_round(payload); sr.is_ok()) {
-          ensure_overlay(*dyn->info);
           overlay_.send_ack(scope, sr.value().round, to);
           return;
         }
@@ -609,7 +602,6 @@ void Participant::multicast(const InstanceInfo& info, net::MsgKind kind,
   if (info.use_tree) {
     // Tree-mode dissemination: hand the message to the overlay once; the
     // relay tree fans it out in O(N·k) envelopes instead of N-1 sends.
-    ensure_overlay(info);
     overlay_.flood(info.instance, kind, payload);
     return;
   }
@@ -625,8 +617,8 @@ void Participant::multicast(const InstanceInfo& info, net::MsgKind kind,
 // Overlay dissemination (tree-mode scopes)
 // ---------------------------------------------------------------------------
 
-void Participant::ensure_overlay(const InstanceInfo& info) {
-  CAA_CHECK_MSG(info.use_tree, "ensure_overlay: scope is flat");
+void Participant::join_overlay(const InstanceInfo& info) {
+  CAA_CHECK_MSG(info.use_tree, "join_overlay: scope is flat");
   if (!overlay_ready_) {
     overlay::Disseminator::Hooks hooks;
     hooks.send_envelope = [this](ObjectId to, net::Bytes payload) {
@@ -653,7 +645,8 @@ void Participant::ensure_overlay(const InstanceInfo& info) {
                        &runtime().simulator().obs().health());
     overlay_ready_ = true;
   }
-  overlay_.register_scope(info.instance, info.members, info.overlay, crashed_);
+  overlay_.register_scope(info.instance, info.members, exclusions_of(info),
+                          info.overlay.fanout);
 }
 
 void Participant::on_relay(ObjectId from, const net::Bytes& payload) {
@@ -671,7 +664,7 @@ void Participant::on_relay(ObjectId from, const net::Bytes& payload) {
   // Register lazily: a belated member (or one that already left) still
   // relays for the committee; local deliveries fall through to the belated
   // buffer / dead-scope paths like any direct message.
-  ensure_overlay(info);
+  join_overlay(info);
   overlay_.on_envelope(from, payload);
 }
 
@@ -863,7 +856,7 @@ void Participant::on_exit_msg(ObjectId from, net::MsgKind kind,
   }
   Dyn* dyn = find_dyn(scope);
   if (dyn == nullptr) {
-    pending_[scope].push_back(RawMsg{from, kind, payload});
+    buffer_belated(scope, RawMsg{from, kind, payload});
     return;
   }
   wd_progress(scope);
@@ -972,7 +965,7 @@ void Participant::apply_leave(const LeaveMsg& m) {
 
 void Participant::record_leave(const Dyn& dyn, const LeaveMsg& m) {
   const bool gc = manager_.exit_gc();
-  leave_log_.record(m, dyn.info->members, id(), dyn.excluded, gc);
+  leave_log_.record(m, dyn.info->members, id(), *dyn.excluded, gc);
   if (!gc) return;
   runtime().simulator().counters().add(kCounterLeaveRecorded);
   // Tell every live member we applied the final Leave; once a member holds
@@ -980,7 +973,7 @@ void Participant::record_leave(const Dyn& dyn, const LeaveMsg& m) {
   const net::Bytes ack =
       exit::encode(exit::LeaveAckMsg{m.scope, m.round, id()});
   for (ObjectId member : dyn.info->members) {
-    if (member == id() || dyn.excluded.contains(member)) continue;
+    if (member == id() || dyn.excluded->contains(member)) continue;
     send(member, net::MsgKind::kActionLeaveAck,
          net::BytesPool::local().copy_of(ack));
   }
@@ -996,6 +989,7 @@ void Participant::pop_context(ActionInstanceId scope, bool dead) {
   }
   contexts_.pop();
   dyn_.erase(scope);
+  if (!overlay_.manages(scope)) exclusions_.erase(scope);
   if (dead) dead_.insert(scope);
   pending_.erase(scope);
   sync_caa_health();
@@ -1006,10 +1000,18 @@ void Participant::pop_context(ActionInstanceId scope, bool dead) {
 // Helpers
 // ---------------------------------------------------------------------------
 
+std::set<ObjectId>& Participant::exclusions_of(const InstanceInfo& info) {
+  auto [it, fresh] = exclusions_.try_emplace(info.instance);
+  for (ObjectId peer : crashed_) {
+    if (fresh && info.is_member(peer)) it->second.insert(peer);
+  }
+  return it->second;
+}
+
 std::unique_ptr<resolve::ResolverCore> Participant::make_engine(
     Dyn& dyn, ActionInstanceId scope) {
   auto engine = std::make_unique<resolve::ResolverCore>(
-      id(), dyn.info->members, dyn.excluded, &dyn.info->decl->tree(), scope,
+      id(), dyn.info->members, *dyn.excluded, &dyn.info->decl->tree(), scope,
       dyn.round, make_hooks(scope), dyn.config.resolver_committee);
   if (manager_.debug_bugs().exclusion_divergence) {
     engine->set_debug_keep_crashed(true);
@@ -1021,7 +1023,7 @@ std::unique_ptr<resolve::ResolverCore> Participant::make_engine(
 }
 
 ObjectId Participant::live_leader(const Dyn& dyn) const {
-  return exit::live_leader(*dyn.info, dyn.excluded);
+  return exit::live_leader(*dyn.info, *dyn.excluded);
 }
 
 Participant::Dyn* Participant::find_dyn(ActionInstanceId scope) {
@@ -1053,7 +1055,7 @@ std::uint32_t Participant::exit_round(ActionInstanceId scope) const {
 
 const std::set<ObjectId>& Participant::exit_excluded(
     ActionInstanceId scope) const {
-  return dyn_of(scope).excluded;
+  return *dyn_of(scope).excluded;
 }
 
 bool Participant::exit_aborting(ActionInstanceId scope) const {
@@ -1075,7 +1077,6 @@ void Participant::exit_unicast(ActionInstanceId scope, ObjectId to,
   if (dyn.info->use_tree) {
     // The live leader is the lowest live member — exactly the relay-tree
     // root — so exit traffic aggregates up the tree into shared envelopes.
-    ensure_overlay(*dyn.info);
     overlay_.route(scope, to, kind, std::move(payload));
     return;
   }
@@ -1092,7 +1093,6 @@ void Participant::exit_unicast_many(ActionInstanceId scope,
     // One payload per shared tree edge instead of one RouteItem per target
     // — the whole 2a wave to an acceptor subtree rides a single envelope
     // entry.
-    ensure_overlay(*dyn.info);
     overlay_.route_multi(scope, targets, kind, payload);
     return;
   }
@@ -1111,12 +1111,11 @@ void Participant::exit_announce_live(ActionInstanceId scope,
                                      const net::Bytes& payload) {
   const Dyn& dyn = dyn_of(scope);
   if (dyn.info->use_tree) {
-    ensure_overlay(*dyn.info);
     overlay_.flood(scope, kind, payload);
     return;
   }
   for (ObjectId member : dyn.info->members) {
-    if (member == id() || dyn.excluded.contains(member)) continue;
+    if (member == id() || dyn.excluded->contains(member)) continue;
     send(member, kind, net::BytesPool::local().copy_of(payload));
   }
 }
@@ -1166,35 +1165,42 @@ void Participant::notify_peer_crashed(ObjectId peer) {
   if (!crashed_.insert(peer).second) return;  // already known
   retired_exits_.clear();  // no exit-protocol frames on the stack here
   purge_pending_from(peer);
-  // Heal the relay trees first: the re-announcements below must travel the
-  // repaired topology, not through the dead relay.
-  if (overlay_ready_) overlay_.on_peer_crashed(peer);
+  // Open scopes that lose the peer, outermost first, with pre-crash leaders.
+  std::vector<std::pair<ActionInstanceId, ObjectId>> losing;
   for (std::size_t depth = 0; depth < contexts_.size(); ++depth) {
-    const ActionInstanceId instance = contexts_.at(depth).instance;
+    const Dyn& dyn = dyn_.at(contexts_.at(depth).instance);
+    if (dyn.info->is_member(peer) && !dyn.excluded->contains(peer)) {
+      losing.emplace_back(contexts_.at(depth).instance, live_leader(dyn));
+    }
+  }
+  // Heal the relay trees before any scope reacts: the re-announcements below
+  // must travel the repaired topology, not through the dead relay.
+  for (auto& [scope, excluded] : exclusions_) {
+    if (manager_.info(scope).is_member(peer) && excluded.insert(peer).second) {
+      overlay_.on_excluded(scope, peer);
+    }
+  }
+  for (const auto& [instance, old_leader] : losing) {
     Dyn& dyn = dyn_.at(instance);
-    if (!dyn.info->is_member(peer) || dyn.excluded.contains(peer)) continue;
     // Avoidance first: any census aborts and suppressed raises replay into
     // the engine NOW, so the CrashSync barrier and the exit protocol's
     // decide re-evaluation below see settled (engine-held) state.
     if (dyn.avoidance != nullptr) dyn.avoidance->on_peer_crashed();
-    const ObjectId old_leader = live_leader(dyn);
-    // Barrier before exclusion: the gate must be on before exclude_member's
-    // readiness re-check, or this object could commit from its own partial
-    // view the instant the crashed member's ACK is waived. The planted-bug
-    // flag (action::DebugBugs::exclusion_divergence) skips the barrier,
-    // restoring the pre-PR 5 race the explorer must rediscover.
+    // Barrier before the engine's exclusion: the gate must be on before
+    // exclude_member's readiness re-check, or this object could commit from
+    // its own partial view the instant the crashed member's ACK is waived.
+    // The planted-bug flag (action::DebugBugs::exclusion_divergence) skips
+    // the barrier, re-opening the race the explorer must rediscover.
     const bool skip_sync = manager_.debug_bugs().exclusion_divergence;
     if (!skip_sync) begin_crash_sync(instance, dyn, peer);
-    dyn.excluded.insert(peer);
     dyn.engine->exclude_member(peer);
     // If an earlier barrier was still waiting on this peer, its reply will
     // never come — waive it (may complete that barrier).
     if (!skip_sync) crash_sync_heard(instance, dyn, peer);
-    const ObjectId new_leader = live_leader(dyn);
     // Exit-side consequences (leader re-election, pending-Done re-announce,
     // quorum re-evaluation) belong to the scope's exit protocol. May decide
     // and tear the scope down; nothing touches `dyn` afterwards.
-    dyn.exit->on_peer_crashed(peer, old_leader, new_leader);
+    dyn.exit->on_peer_crashed(peer, old_leader, live_leader(dyn));
   }
   // The peer will never ACK a Leave again: complete any waiting records.
   if (const std::size_t collected = leave_log_.waive(peer); collected > 0) {
@@ -1281,7 +1287,7 @@ void Participant::begin_crash_sync(ActionInstanceId scope, Dyn& dyn,
   std::vector<ObjectId> live;
   for (ObjectId member : dyn.info->members) {
     if (member == id() || crashed_.contains(member) ||
-        dyn.excluded.contains(member)) {
+        dyn.excluded->contains(member)) {
       continue;
     }
     live.push_back(member);
@@ -1318,7 +1324,12 @@ void Participant::on_crash_sync(ObjectId from, const net::Bytes& payload) {
   // first so the status we answer with reflects a consistent membership
   // view — this is also what un-deadlocks asymmetric detection (our own
   // barrier begins, and our push to `from` is already in flight, before we
-  // strike `from`'s push off the waiting set below).
+  // strike `from`'s push off the waiting set below). A push for a scope not
+  // entered yet is first contact: its exclusion set starts before the
+  // crash is recorded, so it keeps the crash across a restart.
+  if (!dead_.contains(m.scope) && manager_.known(m.scope)) {
+    exclusions_of(manager_.info(m.scope));
+  }
   notify_peer_crashed(m.crashed);
   Dyn* dyn = find_dyn(m.scope);
   if (dyn == nullptr || dyn->aborting) {
@@ -1365,7 +1376,7 @@ void Participant::notify_peer_restarted(ObjectId peer) {
   if (crashed_.erase(peer) == 0) return;
   // Scope exclusions stay (DESIGN.md §4b): the peer lost its volatile state
   // for those actions. Only the from-crashed message filter and the seed
-  // for scopes entered from now on forget it.
+  // for scopes first contacted from now on forget it.
 }
 
 void Participant::on_restarted() {
@@ -1393,6 +1404,7 @@ void Participant::on_restarted() {
   // Relay caches and squelch state are volatile too: the healed survivor
   // trees exclude us, and on_relay drops envelopes for abandoned scopes.
   overlay_.clear();
+  exclusions_.clear();
   // Watchdog holds for the abandoned scopes were released at crash time;
   // instances entered from now on are watched normally again.
   wd_released_ = false;
@@ -1520,9 +1532,9 @@ bool Participant::describe_scope(ActionInstanceId scope,
       report.awaited.push_back("obj" + std::to_string(o.value()));
     }
   }
-  if (!dyn.excluded.empty()) {
+  if (!dyn.excluded->empty()) {
     report.detail =
-        std::to_string(dyn.excluded.size()) + " member(s) excluded (crashed)";
+        std::to_string(dyn.excluded->size()) + " member(s) excluded (crashed)";
   }
   return true;
 }

@@ -20,6 +20,11 @@
 //    having arrived"); HaveNested(O_j) purges buffered messages from O_j
 //    ("clean up messages related to nested actions"); aborted instances are
 //    tombstoned and their late messages dropped.
+//  * Crash exclusion (extension, DESIGN.md §4b): one set per scope, from
+//    first contact — entry, a buffered belated message, a CrashSync push or
+//    a relayed envelope — so a belated entrant excludes every crash heard
+//    of since, restarts included. Engines, exit protocol, avoidance, leave
+//    log and relay tree read it; notify_peer_crashed alone writes it.
 #pragma once
 
 #include <deque>
@@ -301,9 +306,10 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
 
   /// Crash-tolerance extension: informs this participant that a previously
   /// crashed `peer` restarted. The peer stays excluded from every scope this
-  /// participant held when it learned of the crash, in every later round of
-  /// them too, but its messages are accepted again and it counts as a
-  /// regular member of scopes entered from now on (DESIGN.md §4b).
+  /// participant had contacted when it learned of the crash, in every later
+  /// round of them too, but its messages are accepted again and it counts
+  /// as a regular member of scopes first contacted from now on (DESIGN.md
+  /// §4b).
   void notify_peer_restarted(ObjectId peer);
 
   /// Crash-tolerance extension, restart side: invoked (by the World's node
@@ -369,10 +375,8 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   struct Dyn {
     const InstanceInfo* info = nullptr;
     EnterConfig config;
-    // Crashed members of this scope (extension), read by the engine of every
-    // round, the exit protocol and avoidance; declared first to outlive
-    // them. Seeded from crashed_ at enter(); grows only (DESIGN.md §4b).
-    std::set<ObjectId> excluded;
+    // This scope's entry in exclusions_ (crashed members; grows only).
+    const std::set<ObjectId>* excluded = nullptr;
     std::unique_ptr<resolve::ResolverCore> engine;
     std::uint32_t round = 0;
     std::uint32_t attempt = 0;
@@ -425,6 +429,8 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   void on_fast_cover(ObjectId from, const net::Bytes& payload);
   void ack_stale(ObjectId from, net::MsgKind kind, ActionInstanceId scope,
                  std::uint32_t round);
+  /// Buffers a message for a scope not entered yet (§4.2 entry rule).
+  void buffer_belated(ActionInstanceId scope, RawMsg msg);
   void drain_future(ActionInstanceId scope);
   void drain_pending(ActionInstanceId scope);
   void purge_pending_from(ObjectId peer);
@@ -439,7 +445,7 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
                  const net::Bytes& payload);
 
   // Overlay dissemination (tree-mode scopes; src/overlay/).
-  void ensure_overlay(const InstanceInfo& info);
+  void join_overlay(const InstanceInfo& info);
   void on_relay(ObjectId from, const net::Bytes& payload);
   void on_round_finished(ActionInstanceId scope, ExceptionId resolved,
                          ObjectId resolver);
@@ -503,6 +509,8 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   void exit_deliver_leave(const LeaveMsg& m) override;
 
   // Helpers.
+  /// The scope's exclusion set; the first call seeds it from crashed_.
+  std::set<ObjectId>& exclusions_of(const InstanceInfo& info);
   [[nodiscard]] std::unique_ptr<resolve::ResolverCore> make_engine(
       Dyn& dyn, ActionInstanceId scope);
   [[nodiscard]] ObjectId live_leader(const Dyn& dyn) const;
@@ -532,6 +540,9 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
 
   ActionManager& manager_;
   ex::ContextStack contexts_;
+  // Per-scope exclusion sets, declared before their readers. A flat scope's
+  // goes with its context, a tree scope's when the overlay drops the scope.
+  std::map<ActionInstanceId, std::set<ObjectId>> exclusions_;
   std::map<ActionInstanceId, Dyn> dyn_;
   std::map<ActionInstanceId, std::vector<RawMsg>> pending_;  // belated
   std::set<ActionInstanceId> dead_;
@@ -549,8 +560,8 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   // entry into this participant.
   std::vector<std::unique_ptr<exit::ExitProtocol>> retired_exits_;
   // Peers known to have crashed (extension): filters their messages and
-  // seeds the exclusion set of scopes entered later. A restart erases the
-  // peer here, never from a scope's exclusion set.
+  // seeds the exclusion set of scopes first contacted later. A restart
+  // erases the peer here, never from a scope's exclusion set.
   std::set<ObjectId> crashed_;
   overlay::Disseminator overlay_;  // relay engine for tree-mode scopes
   bool overlay_ready_ = false;     // configure() ran (identity bound)

@@ -15,7 +15,6 @@ World::World(WorldConfig config)
   actions_.set_exit_defaults(config_.exit_protocol);
   actions_.set_exit_gc(config_.exit_gc);
   actions_.set_resolve_avoidance(config_.resolve_avoidance);
-  actions_.set_avoidance_probe_delay(config_.avoidance_probe_delay);
   actions_.set_debug_bugs(config_.debug_bugs);
   network_.set_default_link(config_.link);
   network_.set_managed(config_.managed_network);

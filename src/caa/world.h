@@ -63,13 +63,6 @@ struct WorldConfig {
   /// Resolved checksums are identical either way. Per-entry override:
   /// EnterConfig::Builder::resolve_avoidance().
   bool resolve_avoidance = false;
-  /// How long a census leader lets reports land before probing silent
-  /// members, in simulated ticks. An efficiency knob only (correctness
-  /// never depends on it): the default clears one LinkParams::latency_base
-  /// + jitter hop, so §4.4-style simultaneous raises all report before the
-  /// probe fires and the probe becomes a no-op. Tree-mode scopes should
-  /// budget extra relay hops.
-  sim::Time avoidance_probe_delay = 250;
   /// Garbage-collect per-scope final-Leave records once every committee
   /// member has ACKed its Leave. Adds one LeaveAck broadcast per member per
   /// exited scope, so it is off by default (existing worlds stay

@@ -69,16 +69,14 @@ void Disseminator::sync_backlog() {
 
 void Disseminator::register_scope(ActionInstanceId scope,
                                   const std::vector<ObjectId>& members,
-                                  const OverlayParams& params,
-                                  const std::set<ObjectId>& crashed) {
+                                  const std::set<ObjectId>& excluded,
+                                  std::uint32_t fanout) {
   CAA_CHECK_MSG(self_.valid(), "Disseminator: configure() before use");
   if (scopes_.contains(scope)) return;
   CAA_CHECK_MSG(rank_in(members, self_).has_value(),
                 "Disseminator: object not a committee member");
-  Scope s;
-  s.members = &members;
-  s.tree = RelayTree(members, std::max<std::uint32_t>(1, params.fanout));
-  for (ObjectId peer : crashed) s.tree.exclude(peer);
+  Scope s{RelayTree(members, excluded, std::max<std::uint32_t>(1, fanout))};
+  s.neighbors = s.tree.neighbors_of(self_);
   scopes_.emplace(scope, std::move(s));
 }
 
@@ -212,9 +210,7 @@ void Disseminator::flood(ActionInstanceId scope, net::MsgKind kind,
   FloodItem item{self_, s.next_seq++, kind,
                  net::BytesPool::local().copy_of(payload)};
   s.seen.insert(squelch_key(self_, item.seq));
-  for (ObjectId n : s.tree.neighbors_of(self_)) {
-    enqueue_flood(scope, s, n, item);
-  }
+  for (ObjectId n : s.neighbors) enqueue_flood(scope, s, n, item);
   cache_flood(s, std::move(item));
   sync_backlog();
 }
@@ -230,8 +226,8 @@ void Disseminator::send_ack(ActionInstanceId scope, std::uint32_t round,
     if (counters_ != nullptr) counters_->add(counter_ids().dead_target);
     return;
   }
-  AckBitmap bits((s.members->size() + 7) / 8, std::byte{0});
-  set_bit(bits, *rank_in(*s.members, self_));
+  AckBitmap bits((s.tree.members().size() + 7) / 8, std::byte{0});
+  set_bit(bits, *rank_in(s.tree.members(), self_));
   merge_ack(s.ack_cache, target, round, bits, /*count_merges=*/false);
   const ObjectId hop = s.tree.next_hop(self_, target);
   merge_ack(outbox_for(scope, s, hop).acks, target, round, bits,
@@ -262,7 +258,7 @@ void Disseminator::forward_multi(ActionInstanceId scope, Scope& s,
                                  const net::Bytes& payload) {
   // Partition the live targets by next hop; each group shares ONE payload
   // copy on its edge. The heal cache keeps per-target RouteItems instead —
-  // after a rebuild the groups would be stale anyway, and the route-cache
+  // after a heal the groups would be stale anyway, and the route-cache
   // re-offer machinery already re-partitions towards current next hops.
   std::map<ObjectId, std::vector<ObjectId>> by_hop;
   for (ObjectId target : targets) {
@@ -323,7 +319,7 @@ void Disseminator::on_envelope(ObjectId from, const net::Bytes& payload) {
     FloodItem item{origin, seq.value(), kind, std::move(body).take()};
     // Forward before delivering: relay duty must not depend on what the
     // local engine does with the message.
-    for (ObjectId n : s.tree.neighbors_of(self_)) {
+    for (ObjectId n : s.neighbors) {
       if (n == from || n == origin) continue;
       enqueue_flood(scope, s, n, item);
     }
@@ -422,7 +418,7 @@ void Disseminator::on_envelope(ObjectId from, const net::Bytes& payload) {
 void Disseminator::deliver_ack_bitmap(ActionInstanceId scope, const Scope& s,
                                       std::uint32_t round,
                                       const AckBitmap& bits) {
-  const std::vector<ObjectId>& members = *s.members;
+  const std::vector<ObjectId>& members = s.tree.members();
   for (std::size_t rank = 0; rank < members.size(); ++rank) {
     if (bit_set(bits, rank)) hooks_.deliver_ack(scope, round, members[rank]);
   }
@@ -436,29 +432,23 @@ Result<ActionInstanceId> Disseminator::peek_envelope_scope(
   return ActionInstanceId(scope_raw.value());
 }
 
-void Disseminator::on_peer_crashed(ObjectId peer) {
-  for (auto& [scope, s] : scopes_) {
-    // Exclusion only grows: a peer off the live layout is not a member or
-    // was excluded already.
-    if (!s.tree.contains(peer)) continue;
-    const bool was_live = s.tree.contains(self_);
-    const std::vector<ObjectId> before =
-        was_live ? s.tree.neighbors_of(self_) : std::vector<ObjectId>{};
-    s.tree.exclude(peer);
-    // Anything queued for the dead peer is covered by the re-offers below
-    // (floods by the new-neighbor cache replay, routes/acks by re-routing).
-    s.outbox.erase(peer);
-    if (!s.tree.contains(self_) || s.tree.live_count() < 2) continue;
+void Disseminator::on_excluded(ActionInstanceId scope, ObjectId peer) {
+  const auto it = scopes_.find(scope);
+  if (it == scopes_.end()) return;
+  Scope& s = it->second;
+  const std::vector<ObjectId> before =
+      std::exchange(s.neighbors, s.tree.neighbors_of(self_));
+  // Anything queued for the dead peer is covered by the re-offers below
+  // (floods by the new-neighbor cache replay, routes/acks by re-routing).
+  s.outbox.erase(peer);
+  if (s.tree.live_count() >= 2) {
     if (counters_ != nullptr) counters_->add(counter_ids().heals);
     // Re-offer the flood cache to neighbors the repaired tree added: every
     // member whose parent died (or shifted) is a new child of its new
     // parent, so the parents collectively re-cover the orphaned subtrees;
     // squelching absorbs the overlap.
-    const std::vector<ObjectId> now = s.tree.neighbors_of(self_);
-    for (ObjectId n : now) {
-      if (std::find(before.begin(), before.end(), n) != before.end()) {
-        continue;
-      }
+    for (ObjectId n : s.neighbors) {
+      if (std::find(before.begin(), before.end(), n) != before.end()) continue;
       for (const FloodItem& f : s.flood_cache) {
         if (f.origin == n) continue;
         enqueue_flood(scope, s, n, f);

@@ -27,13 +27,14 @@
 // latency a whole dissemination wave therefore costs one envelope per tree
 // edge instead of one packet per (origin, member) pair.
 //
-// Healing: when a member is reported crashed, it is removed from the live
-// tree layout and every item this relay has cached is re-offered to the
-// neighbors the new tree added (new children re-parented from the dead
-// relay's subtree). Squelching and idempotent merges absorb the
-// duplicates; coverage follows because a member either kept its parent
-// (and already holds the items its parent forwarded on a live edge) or was
-// re-parented (and receives the new parent's cache).
+// Healing: the tree is a view of the scope's members and the owner's
+// exclusion set. When the owner records a crash there, on_excluded()
+// re-offers every item this relay has cached to the neighbors the repaired
+// tree added (new children re-parented from the dead relay's subtree).
+// Squelching and idempotent merges absorb the duplicates; coverage follows
+// because a member either kept its parent (and already holds the items its
+// parent forwarded on a live edge) or was re-parented (and receives the new
+// parent's cache).
 #pragma once
 
 #include <cstdint>
@@ -79,14 +80,14 @@ class Disseminator {
   void configure(ObjectId self, Hooks hooks, Counters* counters,
                  obs::HealthGauges* health = nullptr);
 
-  /// Starts serving `scope` over its deterministic tree. `members` (the
-  /// instance's shared list, read by reference) must outlive the scope;
-  /// the tree starts without `crashed`, so a late registrant computes the
-  /// same live tree as the survivors. No-op if already registered.
+  /// Starts serving `scope` over its deterministic tree, a view of
+  /// `members` (the instance's shared list) and `excluded` (the owner's
+  /// exclusion set for the scope); both must outlive the registration.
+  /// No-op if already registered.
   void register_scope(ActionInstanceId scope,
                       const std::vector<ObjectId>& members,
-                      const OverlayParams& params,
-                      const std::set<ObjectId>& crashed);
+                      const std::set<ObjectId>& excluded,
+                      std::uint32_t fanout);
   [[nodiscard]] bool manages(ActionInstanceId scope) const {
     return scopes_.contains(scope);
   }
@@ -122,9 +123,10 @@ class Disseminator {
 
   // ---- Fault tolerance ------------------------------------------------
 
-  /// Excludes `peer` from every managed tree and re-offers cached items
-  /// along the repaired topology.
-  void on_peer_crashed(ObjectId peer);
+  /// The owner just added `peer`, a member, to `scope`'s exclusion set:
+  /// re-offers cached items along the repaired tree. No-op for a scope
+  /// this relay does not serve.
+  void on_excluded(ActionInstanceId scope, ObjectId peer);
 
   /// Drops every scope and cache (fail-stop restart: relay duties are
   /// volatile state).
@@ -164,8 +166,9 @@ class Disseminator {
   };
 
   struct Scope {
-    const std::vector<ObjectId>* members = nullptr;  // shared, rank order
-    RelayTree tree;  // live layout; crashed members are excluded from it
+    explicit Scope(const RelayTree& view) : tree(view) {}
+    RelayTree tree;
+    std::vector<ObjectId> neighbors;  // of self in `tree`; set by on_excluded
     std::uint32_t next_seq = 0;           // this member's origin sequence
     std::unordered_set<std::uint64_t> seen;  // squelch: origin<<32 | seq
     // Relay caches for healing (bounded by OverlayParams::kHealCacheLimit).

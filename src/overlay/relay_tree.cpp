@@ -1,6 +1,7 @@
 #include "overlay/relay_tree.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/check.h"
 #include "util/hash.h"
@@ -9,42 +10,50 @@
 namespace caa::overlay {
 
 RelayTree::RelayTree(const std::vector<ObjectId>& members,
+                     const std::set<ObjectId>& exclusions,
                      std::uint32_t fanout)
-    : live_(members), fanout_(fanout) {
+    : members_(members), exclusions_(exclusions), fanout_(fanout) {
   CAA_CHECK_MSG(fanout_ >= 1, "RelayTree: fanout must be >= 1");
-  CAA_CHECK_MSG(std::is_sorted(live_.begin(), live_.end()),
+  CAA_CHECK_MSG(std::is_sorted(members_.begin(), members_.end()),
                 "RelayTree: members must be sorted");
 }
 
-void RelayTree::exclude(ObjectId member) {
-  if (const auto pos = rank_in(live_, member); pos.has_value()) {
-    live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(*pos));
-  }
-}
-
 bool RelayTree::contains(ObjectId member) const {
-  return rank_in(live_, member).has_value();
+  return rank_in(members_, member).has_value() &&
+         !exclusions_.contains(member);
 }
 
 ObjectId RelayTree::root() const {
-  CAA_CHECK_MSG(!live_.empty(), "RelayTree: no live members");
-  return live_.front();
+  CAA_CHECK_MSG(live_count() > 0, "RelayTree: no live members");
+  return live_at(0);
 }
 
 std::size_t RelayTree::position_of(ObjectId member) const {
-  const std::optional<std::size_t> pos = rank_in(live_, member);
-  CAA_CHECK_MSG(pos.has_value(), "RelayTree: member not live");
-  return *pos;
+  const std::optional<std::size_t> rank = rank_in(members_, member);
+  CAA_CHECK_MSG(rank.has_value() && !exclusions_.contains(member),
+                "RelayTree: member not live");
+  return *rank - static_cast<std::size_t>(std::distance(
+                     exclusions_.begin(), exclusions_.lower_bound(member)));
+}
+
+ObjectId RelayTree::live_at(std::size_t pos) const {
+  // Every excluded member at or below the candidate pushes it one rank on.
+  std::size_t rank = pos;
+  for (ObjectId excluded : exclusions_) {
+    if (excluded > members_[rank]) break;
+    ++rank;
+  }
+  return members_[rank];
 }
 
 std::vector<ObjectId> RelayTree::neighbors_of(ObjectId member) const {
   const std::size_t pos = position_of(member);
   std::vector<ObjectId> out;
-  if (pos != 0) out.push_back(live_[(pos - 1) / fanout_]);
+  if (pos != 0) out.push_back(live_at((pos - 1) / fanout_));
   const std::size_t first_child = pos * fanout_ + 1;
   for (std::size_t c = first_child;
-       c < first_child + fanout_ && c < live_.size(); ++c) {
-    out.push_back(live_[c]);
+       c < first_child + fanout_ && c < live_count(); ++c) {
+    out.push_back(live_at(c));
   }
   return out;
 }
@@ -58,11 +67,11 @@ ObjectId RelayTree::next_hop(ObjectId self, ObjectId target) const {
   std::size_t cur = position_of(target);
   while (cur != 0) {
     const std::size_t parent = (cur - 1) / fanout_;
-    if (parent == self_pos) return live_[cur];
+    if (parent == self_pos) return live_at(cur);
     cur = parent;
   }
   CAA_CHECK_MSG(self_pos != 0, "RelayTree: root is an ancestor of everyone");
-  return live_[(self_pos - 1) / fanout_];
+  return live_at((self_pos - 1) / fanout_);
 }
 
 std::uint32_t RelayTree::depth_of(ObjectId member) const {
@@ -77,7 +86,9 @@ std::uint32_t RelayTree::depth_of(ObjectId member) const {
 
 std::uint64_t RelayTree::fingerprint() const {
   std::uint64_t h = fnv1a64_mix(kFnv1a64Offset, fanout_);
-  for (ObjectId m : live_) h = fnv1a64_mix(h, m.value());
+  for (ObjectId m : members_) {
+    if (!exclusions_.contains(m)) h = fnv1a64_mix(h, m.value());
+  }
   return h;
 }
 

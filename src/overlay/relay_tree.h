@@ -4,16 +4,16 @@
 // already share), lay them out as an implicit k-ary heap — children of
 // position i are k·i+1 .. k·i+k — and root the tree at the lowest live
 // member, which is exactly the exit-barrier leader every participant
-// already tracks. The tree is a pure function of (member list, excluded
-// set, fanout): every member computes the same one locally from shared
-// state, with no tree-construction protocol and nothing extra to agree on.
-// Self-healing is recomputation — excluding a crashed member re-packs the
-// live list and every survivor lands on the same repaired tree (rippled's
-// squelched relay mesh converges the same way, by deterministic re-selection
-// rather than repair messages).
+// already tracks. The tree is a view of (member list, exclusion set,
+// fanout), read by reference: every member computes the same one locally
+// from shared state, with no tree-construction protocol. Self-healing is
+// recording the crash in the exclusion set — every survivor lands on the
+// same repaired tree (rippled's squelched relay mesh converges the same
+// way, by deterministic re-selection rather than repair messages).
 #pragma once
 
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "util/ids.h"
@@ -22,17 +22,18 @@ namespace caa::overlay {
 
 class RelayTree {
  public:
-  RelayTree() = default;
-  /// `members` must be sorted and duplicate-free (InstanceInfo order).
-  RelayTree(const std::vector<ObjectId>& members, std::uint32_t fanout);
+  /// `members` must be sorted and duplicate-free (InstanceInfo order);
+  /// `exclusions` may hold members only. Both must outlive the tree.
+  RelayTree(const std::vector<ObjectId>& members,
+            const std::set<ObjectId>& exclusions, std::uint32_t fanout);
 
-  /// Removes `member` from the live layout (no-op when it is not live).
-  /// Exclusion only grows, so excluding members one at a time gives the
-  /// same tree as building one over the survivors.
-  void exclude(ObjectId member);
-
+  [[nodiscard]] const std::vector<ObjectId>& members() const {
+    return members_;
+  }
   [[nodiscard]] bool contains(ObjectId member) const;
-  [[nodiscard]] std::size_t live_count() const { return live_.size(); }
+  [[nodiscard]] std::size_t live_count() const {
+    return members_.size() - exclusions_.size();
+  }
   [[nodiscard]] std::uint32_t fanout() const { return fanout_; }
   [[nodiscard]] ObjectId root() const;
 
@@ -51,10 +52,15 @@ class RelayTree {
   [[nodiscard]] std::uint64_t fingerprint() const;
 
  private:
+  /// Heap position of a live member: its rank minus the excluded members
+  /// ranked below it. O(|exclusions|).
   [[nodiscard]] std::size_t position_of(ObjectId member) const;
+  /// The live member at heap position `pos`. O(|exclusions|).
+  [[nodiscard]] ObjectId live_at(std::size_t pos) const;
 
-  std::vector<ObjectId> live_;  // sorted live members; index = heap position
-  std::uint32_t fanout_ = 8;
+  const std::vector<ObjectId>& members_;
+  const std::set<ObjectId>& exclusions_;
+  std::uint32_t fanout_;
 };
 
 }  // namespace caa::overlay

@@ -21,14 +21,13 @@ const CounterId kCounterLatticeMisses = CounterId::of("resolve.lattice_misses");
 AvoidanceCoordinator::AvoidanceCoordinator(
     ObjectId self, const std::vector<ObjectId>* members,
     const std::set<ObjectId>* excluded, const ex::ExceptionTree* tree,
-    ActionInstanceId scope, sim::Time probe_delay, Hooks hooks,
-    Counters* counters, obs::HealthGauges* health)
+    ActionInstanceId scope, Hooks hooks, Counters* counters,
+    obs::HealthGauges* health)
     : self_(self),
       members_(members),
       excluded_(excluded),
       tree_(tree),
       scope_(scope),
-      probe_delay_(probe_delay),
       hooks_(std::move(hooks)),
       counters_(counters),
       health_(health) {
@@ -98,7 +97,7 @@ bool AvoidanceCoordinator::try_fast_raise(ExceptionId exception,
     }
     if (!probes_sent_ && !probe_armed_) {
       probe_armed_ = true;
-      hooks_.schedule(probe_delay_, [this] {
+      hooks_.schedule(kProbeDelay, [this] {
         probe_armed_ = false;
         if (census_active_) send_probes();
       });
@@ -120,7 +119,7 @@ void AvoidanceCoordinator::census_record(ObjectId member, Entry entry) {
   census_[member] = entry;
   if (!probes_sent_ && !probe_armed_) {
     probe_armed_ = true;
-    hooks_.schedule(probe_delay_, [this] {
+    hooks_.schedule(kProbeDelay, [this] {
       probe_armed_ = false;
       if (census_active_) send_probes();
     });

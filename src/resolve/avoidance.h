@@ -87,17 +87,20 @@ class AvoidanceCoordinator {
     std::function<void(sim::Time delay, std::function<void()> fn)> schedule;
   };
 
-  /// `probe_delay` is how long the leader lets reports land before probing
-  /// silent members — an efficiency knob only (correctness never depends on
-  /// it): in the §4.4 all-raise every report beats the probe and the round
-  /// costs (N-1) reports + (N-1) commits, under the 2N bench gate.
+  /// How long the leader lets reports land before probing silent members.
+  /// Efficiency only (correctness never depends on it): it clears one LAN
+  /// hop (LinkParams::latency_base) plus jitter, so in the §4.4 all-raise
+  /// every report beats the probe and the round costs (N-1) reports +
+  /// (N-1) commits, under the 2N bench gate.
+  static constexpr sim::Time kProbeDelay = 250;
+
   /// `health` (optional) receives the census-open level
   /// (obs::Gauge::kResolveCensusOpen: open censuses + suppressed raises at
   /// this member); gauge pushes never touch `counters`.
   AvoidanceCoordinator(ObjectId self, const std::vector<ObjectId>* members,
                        const std::set<ObjectId>* excluded,
                        const ex::ExceptionTree* tree, ActionInstanceId scope,
-                       sim::Time probe_delay, Hooks hooks, Counters* counters,
+                       Hooks hooks, Counters* counters,
                        obs::HealthGauges* health = nullptr);
   ~AvoidanceCoordinator();
 
@@ -183,7 +186,6 @@ class AvoidanceCoordinator {
   const std::set<ObjectId>* excluded_;     // owner's per-scope exclusions
   const ex::ExceptionTree* tree_;
   ActionInstanceId scope_;
-  sim::Time probe_delay_;
   Hooks hooks_;
   Counters* counters_ = nullptr;
   obs::HealthGauges* health_ = nullptr;

@@ -30,9 +30,6 @@ class AtomicObjectHost : public rt::ManagedObject {
   [[nodiscard]] std::optional<std::int64_t> peek(
       const std::string& name) const;
 
-  /// Number of objects hosted.
-  [[nodiscard]] std::size_t object_count() const { return values_.size(); }
-
   /// True if the transaction currently holds any lock here.
   [[nodiscard]] bool has_locks(TxnId txn) const {
     return locks_.held_count(txn) > 0;

@@ -91,9 +91,6 @@ class Rng {
     return uniform() < p;
   }
 
-  /// Derive an independent child generator (for per-channel streams).
-  Rng fork() { return Rng(next()); }
-
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -24,8 +24,6 @@ enum class StatusCode : std::uint8_t {
   kAlreadyExists,
   kFailedPrecondition,
   kAborted,        // transaction / action aborted
-  kDeadlineExceeded,
-  kUnavailable,    // node down, channel dropped
   kConflict,       // lock conflict (wait-die victim)
   kInternal,
 };
@@ -38,8 +36,6 @@ enum class StatusCode : std::uint8_t {
     case StatusCode::kAlreadyExists: return "ALREADY_EXISTS";
     case StatusCode::kFailedPrecondition: return "FAILED_PRECONDITION";
     case StatusCode::kAborted: return "ABORTED";
-    case StatusCode::kDeadlineExceeded: return "DEADLINE_EXCEEDED";
-    case StatusCode::kUnavailable: return "UNAVAILABLE";
     case StatusCode::kConflict: return "CONFLICT";
     case StatusCode::kInternal: return "INTERNAL";
   }
@@ -59,8 +55,6 @@ class [[nodiscard]] Status {
   static Status already_exists(std::string m) { return {StatusCode::kAlreadyExists, std::move(m)}; }
   static Status failed_precondition(std::string m) { return {StatusCode::kFailedPrecondition, std::move(m)}; }
   static Status aborted(std::string m) { return {StatusCode::kAborted, std::move(m)}; }
-  static Status deadline_exceeded(std::string m) { return {StatusCode::kDeadlineExceeded, std::move(m)}; }
-  static Status unavailable(std::string m) { return {StatusCode::kUnavailable, std::move(m)}; }
   static Status conflict(std::string m) { return {StatusCode::kConflict, std::move(m)}; }
   static Status internal(std::string m) { return {StatusCode::kInternal, std::move(m)}; }
 

@@ -3,12 +3,15 @@
 // notifies both directions — survivors learn of the crash (idempotent) and
 // re-admit the restarted objects, while the restarted objects abandon the
 // scopes the crash wiped. A restarted object stays excluded from every scope
-// the survivors held when they learned of the crash, in every later round
-// of those scopes too (DESIGN.md §4b), but participates in new action
-// instances as a regular member.
+// the survivors had contacted when they learned of the crash, in every
+// later round of those scopes too (DESIGN.md §4b), but participates in new
+// action instances as a regular member.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "caa/world.h"
 #include "fault/chaos.h"
@@ -198,6 +201,72 @@ TEST(FaultRestart, SurvivorsResolveANewRoundAfterAPeerRestarts) {
                                        r.resolved == decl.tree().find("boom");
                               }))
           << o.name() << " never handled the attempt-1 resolution";
+    }
+  }
+}
+
+// A belated member that hears of a peer's crash and restart before it
+// enters must still exclude that peer: the members that held the scope
+// excluded it for good, so an entrant that counted it would wait forever
+// for its ACK. The exclusion set starts at first contact — the buffered
+// Exception or relayed envelope (raise at 100), or the survivors' CrashSync
+// push (raise at 700) — not at enter().
+TEST(FaultRestart, BelatedEntrantExcludesAPeerThatRestartedBeforeEntry) {
+  for (const auto mode :
+       {overlay::OverlayParams::Mode::kFlat,
+        overlay::OverlayParams::Mode::kTree}) {
+    for (const sim::Time raise_at : {sim::Time{100}, sim::Time{700}}) {
+      SCOPED_TRACE(std::string(mode == overlay::OverlayParams::Mode::kTree
+                                   ? "tree"
+                                   : "flat") +
+                   ", raise at " + std::to_string(raise_at));
+      WorldConfig config;
+      config.reliable_transport = true;
+      config.overlay.mode = mode;
+      World w(config);
+      std::vector<Participant*> objects;
+      for (const char* name : {"O1", "O2", "O3", "O4"}) {
+        objects.push_back(&w.add_participant(name));
+      }
+      ex::ExceptionTree tree;
+      tree.declare("boom");
+      const action::ActionDecl& decl =
+          w.actions().declare("A", std::move(tree));
+      std::vector<ObjectId> ids;
+      for (const Participant* o : objects) ids.push_back(o->id());
+      const auto& inst = w.actions().create_instance(decl, ids);
+      // Acceptance fails once per member: attempt 1 is a new round.
+      const auto enter = [&](Participant* o) {
+        ASSERT_TRUE(o->enter(
+            inst.instance,
+            EnterConfig::with(uniform_handlers(
+                                  decl.tree(),
+                                  ex::HandlerResult::recovered(100)))
+                .acceptance([tested = false]() mutable {
+                  return std::exchange(tested, true);
+                })
+                .retries(2)));
+      };
+      for (int i = 0; i < 3; ++i) enter(objects[i]);
+      w.at(3000, [&enter, o4 = objects[3]] { enter(o4); });
+      const NodeId victim = objects[2]->runtime().node();
+      w.at(400, [&w, victim] { fault::FaultInjector::crash_node(w, victim); });
+      w.at(600, [&w, victim] { w.network().set_node_up(victim, true); });
+      w.at(raise_at, [o2 = objects[1]] { o2->raise("boom"); });
+      w.at(9000, [o4 = objects[3]] { o4->raise("boom"); });
+      w.run();
+
+      const fault::OracleReport report = fault::check_invariants(w, {});
+      EXPECT_TRUE(report.ok()) << report.summary();
+      for (const int i : {0, 1, 3}) {
+        const Participant& o = *objects[i];
+        std::vector<std::uint32_t> rounds;
+        for (const action::HandledRecord& r : o.handled()) {
+          if (r.instance == inst.instance) rounds.push_back(r.round);
+        }
+        EXPECT_EQ(rounds, (std::vector<std::uint32_t>{0, 2})) << o.name();
+        EXPECT_FALSE(o.in_action()) << o.name();
+      }
     }
   }
 }

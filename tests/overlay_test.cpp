@@ -4,6 +4,7 @@
 // when relays crash mid-broadcast.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -32,9 +33,14 @@ std::vector<ObjectId> make_members(int n, int first = 0) {
 
 // ---- RelayTree unit tests -------------------------------------------------
 
+// A RelayTree is a view: the member list and exclusion set it reads must
+// outlive it.
+const std::set<ObjectId> kNoExclusions;
+
 TEST(RelayTree, HeapShapeRootAndNeighbors) {
   // 13 members, fanout 3: implicit heap positions, root = lowest member.
-  const RelayTree tree(make_members(13), 3);
+  const std::vector<ObjectId> members = make_members(13);
+  const RelayTree tree(members, kNoExclusions, 3);
   EXPECT_EQ(tree.live_count(), 13u);
   EXPECT_EQ(tree.root(), ObjectId(0));
   EXPECT_EQ(tree.depth_of(ObjectId(0)), 0u);
@@ -53,31 +59,36 @@ TEST(RelayTree, HeapShapeRootAndNeighbors) {
 }
 
 TEST(RelayTree, FingerprintIsDeterministic) {
-  const RelayTree a(make_members(64), 8);
-  const RelayTree b(make_members(64), 8);
+  const std::vector<ObjectId> members = make_members(64);
+  const std::vector<ObjectId> same = make_members(64);
+  const std::vector<ObjectId> fewer = make_members(63);
+  const RelayTree a(members, kNoExclusions, 8);
+  const RelayTree b(same, kNoExclusions, 8);
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
   // Fanout and membership both feed the digest.
-  const RelayTree narrower(make_members(64), 4);
+  const RelayTree narrower(members, kNoExclusions, 4);
   EXPECT_NE(a.fingerprint(), narrower.fingerprint());
-  const RelayTree smaller(make_members(63), 8);
+  const RelayTree smaller(fewer, kNoExclusions, 8);
   EXPECT_NE(a.fingerprint(), smaller.fingerprint());
 }
 
 TEST(RelayTree, RebuildMatchesFreshTreeOverSurvivors) {
-  // Healing is recomputation: excluding members one at a time, in any
-  // order, must land on exactly the tree a fresh construction over the
-  // survivors produces — including when the root itself dies. Excluding a
-  // member twice, or a non-member, changes nothing.
-  RelayTree tree(make_members(20), 3);
-  for (int dead : {13, 0, 7, 13, 42}) {
-    tree.exclude(ObjectId(static_cast<std::uint64_t>(dead)));
+  // Healing is recomputation: recording exclusions in the set the tree
+  // views, one at a time and in any order, must land on exactly the tree a
+  // fresh construction over the survivors produces — including when the
+  // root itself dies. Excluding a member twice changes nothing.
+  const std::vector<ObjectId> members = make_members(20);
+  std::set<ObjectId> excluded;
+  const RelayTree tree(members, excluded, 3);
+  for (int dead : {13, 0, 7, 13}) {
+    excluded.insert(ObjectId(static_cast<std::uint64_t>(dead)));
   }
   std::vector<ObjectId> survivors;
   for (int i = 0; i < 20; ++i) {
     if (i == 0 || i == 7 || i == 13) continue;
     survivors.emplace_back(static_cast<std::uint64_t>(i));
   }
-  const RelayTree fresh(survivors, 3);
+  const RelayTree fresh(survivors, kNoExclusions, 3);
   EXPECT_EQ(tree.fingerprint(), fresh.fingerprint());
   EXPECT_EQ(tree.root(), ObjectId(1));
   EXPECT_EQ(tree.live_count(), 17u);
@@ -89,7 +100,8 @@ TEST(RelayTree, NextHopRoutesEveryPair) {
   // Hop-by-hop forwarding along next_hop() must reach every target from
   // every source within the tree diameter.
   const int n = 23;
-  const RelayTree tree(make_members(n), 3);
+  const std::vector<ObjectId> members = make_members(n);
+  const RelayTree tree(members, kNoExclusions, 3);
   for (int a = 0; a < n; ++a) {
     for (int b = 0; b < n; ++b) {
       if (a == b) continue;

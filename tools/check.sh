@@ -40,7 +40,10 @@ for preset in "${presets[@]}"; do
   # restart mid-broadcast), then 200 crash-heavy plans with Paxos Commit
   # as the exit protocol (exit-assassin trigger included in the mix),
   # then 200 crash-heavy plans with coordination avoidance on (crashes
-  # land mid-census, forcing the fast path's fallback/replay machinery).
+  # land mid-census, forcing the fast path's fallback/replay machinery),
+  # then 1000 crash-heavy plans with avoidance over the relay tree (the one
+  # path where a crash heals the tree, replays a suppressed raise and syncs
+  # the survivors in one step).
   # Under asan these double as a memory audit of the crash/restart/
   # partition, tree-healing, paxos-recovery and census-fallback paths.
   # The dev preset also runs 20k mixed plans under Paxos Commit at seed
@@ -55,6 +58,8 @@ for preset in "${presets[@]}"; do
         --exit paxos --threads "${jobs}"
       "build/tools/caa-chaos" --plans 200 --profile crash-heavy \
         --avoid --threads "${jobs}"
+      "build/tools/caa-chaos" --plans 1000 --profile crash-heavy \
+        --avoid --tree 4 --participants 8:24 --threads "${jobs}"
       "build/tools/caa-chaos" --plans 20000 --seed 42 --exit paxos \
         --threads "${jobs}"
       ;;
@@ -66,6 +71,8 @@ for preset in "${presets[@]}"; do
         --exit paxos --threads "${jobs}"
       "build-asan/tools/caa-chaos" --plans 200 --profile crash-heavy \
         --avoid --threads "${jobs}"
+      "build-asan/tools/caa-chaos" --plans 1000 --profile crash-heavy \
+        --avoid --tree 4 --participants 8:24 --threads "${jobs}"
       ;;
   esac
   # Bounded systematic-exploration smoke: DPOR over the §4.3 scenarios at
@@ -136,16 +143,19 @@ echo "participant is clean of scheduler-choice logic"
 # the relay-tree overlay and the relay tree read InstanceInfo::members and
 # the participant's per-scope exclusion set by reference (rank and
 # membership via rank_in in src/util/members.h). A by-value exclusion set,
-# a member-list copy or a private rank lookup regrowing in those files is a
-# second copy of a fact that must live in one place (copies that disagreed
-# once left survivors waiting for the ACK of a restarted peer).
+# a member-list or live-layout copy, a private rank lookup or a crash path
+# of the overlay's own regrowing in those files is a second copy of a fact
+# that must live in one place (copies that disagreed once left survivors
+# waiting for the ACK of a restarted peer). The participant records a crash
+# in the set and tells the overlay through Disseminator::on_excluded.
 echo "==== membership grep gate =================================="
-if grep -nE 'std::set<ObjectId>[[:space:]]+[A-Za-z_]*(exclu|crash)|std::vector<ObjectId>[[:space:]]+[A-Za-z_]*(member|all_)[A-Za-z_]*[[:space:]]*[;,)={]|excluded_|rank_of|member_rank' \
+if grep -nE 'std::set<ObjectId>[[:space:]]+[A-Za-z_]*(exclu|crash)|std::vector<ObjectId>[[:space:]]+[A-Za-z_]*(member|all_)[A-Za-z_]*[[:space:]]*[;,)={]|std::vector<ObjectId>[[:space:]]+live|on_peer_crashed|excluded_|rank_of|member_rank' \
     src/resolve/resolver_core.h src/resolve/resolver_core.cpp \
     src/overlay/disseminator.h src/overlay/disseminator.cpp \
     src/overlay/relay_tree.h src/overlay/relay_tree.cpp; then
   echo "a private member list, exclusion set or rank lookup is back" >&2
-  echo "(read InstanceInfo::members and the scope's exclusion set; rank via rank_in)" >&2
+  echo "(read InstanceInfo::members and the scope's exclusion set; rank via rank_in;" >&2
+  echo " crashes reach the overlay through Disseminator::on_excluded)" >&2
   exit 1
 fi
 echo "engine, overlay and relay tree read the shared membership"
