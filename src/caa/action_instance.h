@@ -36,16 +36,12 @@ struct InstanceInfo {
 
   /// Exit/commit protocol every member of this instance synchronizes its
   /// exit through, stamped at create_instance from the manager's defaults
-  /// (WorldConfig.exit_protocol); a participant's EnterConfig may override
-  /// its own selection. All members must agree — mixed selections within
-  /// one committee are a scenario bug.
+  /// (WorldConfig.exit_protocol).
   exit::ExitKind exit = exit::ExitKind::kBarrier;
 
   /// Coordination avoidance for this instance's resolutions, stamped at
   /// create_instance from the manager's defaults (WorldConfig.
-  /// resolve_avoidance); a participant's EnterConfig may override its own
-  /// selection — a member with it off simply answers census probes and
-  /// never initiates fast rounds.
+  /// resolve_avoidance).
   bool resolve_avoidance = false;
 
   [[nodiscard]] ObjectId leader() const { return members.front(); }

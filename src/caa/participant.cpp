@@ -120,19 +120,17 @@ bool Participant::enter(ActionInstanceId instance, EnterConfig config) {
   dyn.engine = make_engine(dyn, instance);
   dyn.exit = dyn.config.exit_factory
                  ? dyn.config.exit_factory(*this, info)
-                 : exit::make_exit_protocol(
-                       dyn.config.exit_protocol.value_or(info.exit), *this,
-                       info);
+                 : exit::make_exit_protocol(info.exit, *this, info);
   // Entering an action some members already crashed out of: sync with the
   // live members before resolving anything. Their status replies carry any
-  // commit of a round this belated entrant missed entirely (its buffered
+  // commit of a round this belated entrant missed entirely (its held
   // copy, if one was ever sent, is from-crashed traffic and void).
   for (ObjectId peer : *dyn.excluded) begin_crash_sync(instance, dyn, peer);
   record_lifecycle(obs::RecType::kEnter, instance);
   sync_caa_health();
   wd_open(instance);
 
-  drain_pending(instance);  // §4.2 "process messages having arrived"
+  release_held(instance);  // §4.2 "process messages having arrived"
 
   if (dyn_.contains(instance) && dyn_.at(instance).config.body) {
     run_guarded(instance, 0, [this, instance] {
@@ -164,7 +162,7 @@ void Participant::raise(ExceptionId exception, std::string message) {
   dyn.raise_time = now();
   const ActionInstanceId scope = contexts_.active().instance;
   wd_progress(scope);
-  if (dyn.config.resolve_avoidance.value_or(dyn.info->resolve_avoidance) &&
+  if (dyn.info->resolve_avoidance &&
       ensure_avoidance(dyn, scope)
           .try_fast_raise(exception, std::move(message))) {
     return;  // suppressed: the census decides; the engine stays Normal
@@ -225,8 +223,34 @@ std::uint32_t Participant::attempt_of(ActionInstanceId instance) const {
 }
 
 // ---------------------------------------------------------------------------
-// Message routing
+// Message intake
 // ---------------------------------------------------------------------------
+
+Verdict classify(net::MsgKind kind, bool from_crashed, const ScopeSeen& scope,
+                 std::uint32_t round) {
+  switch (kind) {
+    case net::MsgKind::kActionLeave:
+      return scope.dead || !scope.entered ? Verdict::kDropDead
+                                          : Verdict::kDeliver;
+    case net::MsgKind::kActionDone:
+    case net::MsgKind::kPaxosPrepare:
+    case net::MsgKind::kPaxosPromise:
+    case net::MsgKind::kPaxosVote:
+    case net::MsgKind::kPaxosAccepted:
+      // Exit protocols key votes by round and waive excluded voters.
+      if (scope.dead) return Verdict::kAnswerLeave;
+      return scope.entered ? Verdict::kDeliver : Verdict::kHold;
+    default:  // the five resolution kinds and kFastCover
+      break;
+  }
+  if (from_crashed) return Verdict::kDropCrashed;
+  if (scope.dead) return Verdict::kDropDead;
+  if (!scope.entered) return Verdict::kHold;
+  if (scope.aborting) return Verdict::kDropAborting;
+  if (round < scope.round) return Verdict::kStale;
+  if (round > scope.round || !scope.engine_ready) return Verdict::kHold;
+  return Verdict::kDeliver;
+}
 
 void Participant::on_message(ObjectId from, net::MsgKind kind,
                              const net::Bytes& payload) {
@@ -237,118 +261,122 @@ void Participant::on_message(ObjectId from, net::MsgKind kind,
     case net::MsgKind::kNestedCompleted:
     case net::MsgKind::kAck:
     case net::MsgKind::kCommit:
-      route_resolution(from, kind, payload);
-      return;
-    case net::MsgKind::kCrashSync:
-      on_crash_sync(from, payload);
-      return;
     case net::MsgKind::kFastCover:
-      on_fast_cover(from, payload);
-      return;
-    case net::MsgKind::kRelay:
-      on_relay(from, payload);
-      return;
     case net::MsgKind::kActionDone:
     case net::MsgKind::kPaxosPrepare:
     case net::MsgKind::kPaxosPromise:
     case net::MsgKind::kPaxosVote:
     case net::MsgKind::kPaxosAccepted:
-      on_exit_msg(from, kind, payload);
+    case net::MsgKind::kActionLeave:
+      on_scoped(from, kind, payload);
+      return;
+    case net::MsgKind::kCrashSync:
+      on_crash_sync(from, payload);
+      return;
+    case net::MsgKind::kRelay:
+      on_relay(from, payload);
       return;
     case net::MsgKind::kActionLeaveAck:
       on_leave_ack(from, payload);
       return;
-    case net::MsgKind::kActionLeave: {
-      auto sr = resolve::peek_scope_round(payload);
-      if (!sr.is_ok()) return;
-      if (dead_.contains(sr.value().scope) ||
-          find_dyn(sr.value().scope) == nullptr) {
-        runtime().simulator().counters().add(kCounterDeadScopeDropped);
-        return;
-      }
-      on_leave_msg(payload);
-      return;
-    }
     default:
       runtime().simulator().counters().add(kCounterUnhandledKind);
       return;
   }
 }
 
-void Participant::route_resolution(ObjectId from, net::MsgKind kind,
-                                   const net::Bytes& payload) {
-  if (crashed_.contains(from) &&
-      !manager_.debug_bugs().exclusion_divergence) {
-    // Fail-stop: a crashed sender's in-flight resolution content is void
-    // (ResolverCore::exclude_member expunged its contribution), and it must
-    // stay void uniformly — survivors the message reaches and survivors it
-    // misses have to compute the same resolution. The planted-bug flag
-    // re-opens the PR 5 exclusion-divergence hole by accepting such
-    // messages (see action::DebugBugs).
-    runtime().simulator().counters().add(kCounterFromCrashedDropped);
-    return;
-  }
-  auto sr_result = resolve::peek_scope_round(payload);
-  if (!sr_result.is_ok()) return;  // malformed: never trust the wire
-  const auto [scope, round] = sr_result.value();
-
-  if (dead_.contains(scope)) {
-    runtime().simulator().counters().add(kCounterDeadScopeDropped);
-    return;
-  }
+void Participant::on_scoped(ObjectId from, net::MsgKind kind,
+                            const net::Bytes& payload) {
+  const auto header = resolve::peek_scope_round(payload);
+  if (!header.is_ok()) return;  // malformed: never trust the wire
+  const auto [scope, round] = header.value();
   Dyn* dyn = find_dyn(scope);
-  if (dyn == nullptr) {
-    buffer_belated(scope, RawMsg{from, kind, payload});
-    return;
+  ScopeSeen seen;
+  seen.dead = dead_.contains(scope);
+  if (dyn != nullptr) {
+    seen.entered = true;
+    seen.aborting = dyn->aborting;
+    seen.round = dyn->round;
+    // Not yet after a finish: the round bump installs it from a fresh event.
+    seen.engine_ready = dyn->engine->round() == dyn->round;
   }
-  if (dyn->aborting) {
-    // This context is part of an abort chain: its resolution is being
-    // superseded by a containing action's resolution.
-    runtime().simulator().counters().add(kCounterAbortingDropped);
-    return;
+  // Fail-stop: a crashed sender's resolution content is void, uniformly, so
+  // survivors it reached and survivors it missed resolve alike. The planted
+  // exclusion-divergence bug (action::DebugBugs) accepts its five protocol
+  // kinds again.
+  const bool from_crashed =
+      crashed_.contains(from) &&
+      (kind == net::MsgKind::kFastCover ||
+       !manager_.debug_bugs().exclusion_divergence);
+  switch (classify(kind, from_crashed, seen, round)) {
+    case Verdict::kDropCrashed:
+      runtime().simulator().counters().add(kCounterFromCrashedDropped);
+      return;
+    case Verdict::kDropDead:
+      runtime().simulator().counters().add(kCounterDeadScopeDropped);
+      return;
+    case Verdict::kDropAborting:
+      runtime().simulator().counters().add(kCounterAbortingDropped);
+      return;
+    case Verdict::kHold:
+      hold(scope, RawMsg{from, kind, payload});
+      return;
+    case Verdict::kAnswerLeave:
+      // A member whose final Leave died with the old leader re-sends its
+      // Done/vote after re-election: release it with the outcome everyone
+      // applied. The planted lost-final-Leave bug drops it instead.
+      if (const LeaveMsg* rec = leave_log_.find(scope);
+          rec != nullptr && !manager_.debug_bugs().lost_final_leave) {
+        send(from, net::MsgKind::kActionLeave, encode(*rec));
+      } else {
+        runtime().simulator().counters().add(kCounterDeadScopeDropped);
+      }
+      return;
+    case Verdict::kStale:
+      if (kind != net::MsgKind::kFastCover) {
+        ack_stale(*dyn, from, kind, round);
+      } else if (const auto m = resolve::decode_fast_cover(payload);
+                 m.is_ok()) {
+        ensure_avoidance(*dyn, scope).on_stale(from, m.value());
+      }
+      return;
+    case Verdict::kDeliver:
+      break;
   }
-  if (round < dyn->round) {
-    ack_stale(from, kind, scope, round);
-    return;
+  if (net::is_resolution_kind(kind)) {
+    deliver_to_engine(*dyn, kind, payload);
+  } else if (kind == net::MsgKind::kFastCover) {
+    if (const auto m = resolve::decode_fast_cover(payload); m.is_ok()) {
+      ensure_avoidance(*dyn, scope).on_message(from, m.value());
+    }
+  } else if (kind == net::MsgKind::kActionLeave) {
+    on_leave_msg(payload);
+  } else {  // kActionDone and the Paxos kinds
+    wd_progress(scope);
+    dyn->exit->on_message(from, kind, payload);
   }
-  if (round > dyn->round || dyn->engine->round() != dyn->round) {
-    // Future round, or the engine for the current round is not installed
-    // yet (round bump pending after a finish).
-    dyn->future.push_back(RawMsg{from, kind, payload});
-    return;
-  }
-  const bool scope_is_active =
-      in_action() && contexts_.active().instance == scope;
-  deliver_to_engine(*dyn, scope_is_active, from, kind, payload);
 }
 
-void Participant::ack_stale(ObjectId from, net::MsgKind kind,
-                            ActionInstanceId scope, std::uint32_t round) {
+void Participant::ack_stale(const Dyn& dyn, ObjectId from, net::MsgKind kind,
+                            std::uint32_t round) {
   // Stale-round Exception / NestedCompleted senders still need their ACKs
   // to reach Ready in the round they are stuck in (§4.2 "wait until all
   // exception messages are handled"). Everything else is dropped.
   if (kind == net::MsgKind::kException ||
       kind == net::MsgKind::kNestedCompleted) {
-    const Dyn* dyn = find_dyn(scope);
-    if (dyn != nullptr && dyn->info->use_tree) {
-      overlay_.send_ack(scope, round, from);
-    } else {
-      send(from, net::MsgKind::kAck,
-           resolve::encode(resolve::AckMsg{scope, round, id()}));
-    }
+    send_ack(*dyn.info, round, from);
     if (obs::Observability* o = observing()) {
       // The engine of `round` is gone; tabulate its stale ACK here so the
       // per-round table still accounts for every protocol send.
-      o->metrics().note_protocol_send(scope, round, net::MsgKind::kAck, 1);
+      o->metrics().note_protocol_send(dyn.info->instance, round,
+                                      net::MsgKind::kAck, 1);
     }
   }
   runtime().simulator().counters().add(kCounterStaleRound);
 }
 
-void Participant::deliver_to_engine(Dyn& dyn, bool scope_is_active,
-                                    ObjectId from, net::MsgKind kind,
+void Participant::deliver_to_engine(Dyn& dyn, net::MsgKind kind,
                                     const net::Bytes& payload) {
-  (void)from;
   wd_progress(dyn.info->instance);
   if (dyn.avoidance != nullptr &&
       (kind == net::MsgKind::kException || kind == net::MsgKind::kHaveNested)) {
@@ -358,127 +386,49 @@ void Participant::deliver_to_engine(Dyn& dyn, bool scope_is_active,
     dyn.avoidance->on_slow_traffic();
   }
   resolve::ResolverCore& engine = *dyn.engine;
-  const bool trigger_branch =
-      !scope_is_active &&
-      engine.state() == resolve::ResolverCore::State::kNormal;
-  switch (kind) {
-    case net::MsgKind::kException: {
-      auto m = resolve::decode_exception(payload);
-      if (!m.is_ok()) return;
-      if (trigger_branch) {
-        engine.on_trigger_while_nested(m.value());
-      } else {
-        engine.on_exception(m.value());
-      }
-      return;
-    }
-    case net::MsgKind::kHaveNested: {
-      auto m = resolve::decode_have_nested(payload);
-      if (!m.is_ok()) return;
-      if (trigger_branch) {
-        engine.on_trigger_while_nested(m.value());
-      } else {
-        engine.on_have_nested(m.value());
-      }
-      return;
-    }
-    case net::MsgKind::kNestedCompleted: {
-      CAA_CHECK_MSG(!trigger_branch,
-                    "protocol violation: NestedCompleted cannot be the first "
-                    "message of a resolution (FIFO channels)");
-      auto m = resolve::decode_nested_completed(payload);
-      if (!m.is_ok()) return;
-      engine.on_nested_completed(m.value());
-      return;
-    }
-    case net::MsgKind::kAck: {
-      auto m = resolve::decode_ack(payload);
-      if (!m.is_ok()) return;
-      engine.on_ack(m.value());
-      return;
-    }
-    case net::MsgKind::kCommit: {
-      CAA_CHECK_MSG(!trigger_branch,
-                    "protocol violation: Commit cannot be the first message "
-                    "of a resolution");
-      auto m = resolve::decode_commit(payload);
-      if (!m.is_ok()) return;
-      engine.on_commit(m.value());
-      return;
-    }
-    default:
-      CAA_CHECK_MSG(false, "unexpected kind in deliver_to_engine");
+  // The first message of a resolution in a scope our active action is
+  // nested in starts the paper's HaveNested branch.
+  const bool trigger =
+      kind != net::MsgKind::kAck &&
+      engine.state() == resolve::ResolverCore::State::kNormal &&
+      !(in_action() && contexts_.active().instance == dyn.info->instance);
+  CAA_CHECK_MSG(!trigger || kind == net::MsgKind::kException ||
+                    kind == net::MsgKind::kHaveNested,
+                "protocol violation: a NestedCompleted or a Commit cannot be "
+                "the first message of a resolution (FIFO channels)");
+  const auto m = resolve::decode_protocol(kind, payload);
+  if (!m.is_ok()) return;
+  if (trigger) {
+    engine.on_trigger_while_nested(m.value());
+  } else {
+    engine.on_message(m.value());
   }
 }
 
-void Participant::drain_future(ActionInstanceId scope) {
-  Dyn* dyn = find_dyn(scope);
-  if (dyn == nullptr) return;
-  std::vector<RawMsg> future = std::move(dyn->future);
-  dyn->future.clear();
-  for (auto& raw : future) {
-    if (raw.kind == net::MsgKind::kFastCover) {
-      on_fast_cover(raw.from, raw.payload);
-    } else {
-      route_resolution(raw.from, raw.kind, raw.payload);
-    }
+void Participant::hold(ActionInstanceId scope, RawMsg msg) {
+  // First contact with a scope not entered starts its exclusion set.
+  if (!dyn_.contains(scope) && manager_.known(scope)) {
+    exclusions_of(manager_.info(scope));
   }
+  held_[scope].push_back(std::move(msg));
 }
 
-void Participant::drain_pending(ActionInstanceId scope) {
-  auto it = pending_.find(scope);
-  if (it == pending_.end()) return;
+void Participant::release_held(ActionInstanceId scope) {
+  const auto it = held_.find(scope);
+  if (it == held_.end()) return;
   std::vector<RawMsg> msgs = std::move(it->second);
-  pending_.erase(it);
-  for (auto& raw : msgs) {
-    on_message(raw.from, raw.kind, raw.payload);
-  }
+  held_.erase(it);
+  for (const RawMsg& raw : msgs) on_scoped(raw.from, raw.kind, raw.payload);
 }
 
-void Participant::buffer_belated(ActionInstanceId scope, RawMsg msg) {
-  if (manager_.known(scope)) exclusions_of(manager_.info(scope));
-  pending_[scope].push_back(std::move(msg));
-}
-
-void Participant::purge_pending_from(ObjectId peer) {
+void Participant::purge_held_from(ObjectId peer) {
   // §4.2 "clean up messages related to nested actions": peer is aborting all
-  // its nested actions, so its buffered messages scoped to actions we never
-  // entered are void.
-  for (auto& [scope, msgs] : pending_) {
+  // its nested actions, so what it sent for actions we never entered is
+  // void. An entered scope's held messages wait for a later round instead.
+  for (auto& [scope, msgs] : held_) {
+    if (dyn_.contains(scope)) continue;
     std::erase_if(msgs, [peer](const RawMsg& m) { return m.from == peer; });
   }
-}
-
-void Participant::on_fast_cover(ObjectId from, const net::Bytes& payload) {
-  if (crashed_.contains(from)) {
-    runtime().simulator().counters().add(kCounterFromCrashedDropped);
-    return;
-  }
-  auto decoded = resolve::decode_fast_cover(payload);
-  if (!decoded.is_ok()) return;  // malformed: never trust the wire
-  const resolve::FastCoverMsg m = decoded.value();
-  if (dead_.contains(m.scope)) {
-    runtime().simulator().counters().add(kCounterDeadScopeDropped);
-    return;
-  }
-  Dyn* dyn = find_dyn(m.scope);
-  if (dyn == nullptr) {
-    buffer_belated(m.scope, RawMsg{from, net::MsgKind::kFastCover, payload});
-    return;
-  }
-  if (dyn->aborting) {
-    runtime().simulator().counters().add(kCounterAbortingDropped);
-    return;
-  }
-  if (m.round < dyn->round) {
-    ensure_avoidance(*dyn, m.scope).on_stale(from, m);
-    return;
-  }
-  if (m.round > dyn->round || dyn->engine->round() != dyn->round) {
-    dyn->future.push_back(RawMsg{from, net::MsgKind::kFastCover, payload});
-    return;
-  }
-  ensure_avoidance(*dyn, m.scope).on_message(from, m);
 }
 
 // ---------------------------------------------------------------------------
@@ -490,14 +440,9 @@ resolve::AvoidanceCoordinator& Participant::ensure_avoidance(
   if (dyn.avoidance != nullptr) return *dyn.avoidance;
   resolve::AvoidanceCoordinator::Hooks hooks;
   hooks.send = [this, scope](ObjectId to, net::Bytes payload) {
-    if (const Dyn* d = find_dyn(scope);
-        d != nullptr && d->info->use_tree) {
-      // Census traffic rides the relay overlay like exit traffic: the
-      // leader is the lowest live member — exactly the relay-tree root.
-      overlay_.route(scope, to, net::MsgKind::kFastCover, std::move(payload));
-      return;
-    }
-    send(to, net::MsgKind::kFastCover, std::move(payload));
+    const Dyn* d = find_dyn(scope);
+    CAA_CHECK(d != nullptr);
+    unicast(*d->info, to, net::MsgKind::kFastCover, std::move(payload));
   };
   hooks.multicast = [this, scope](const net::Bytes& payload) {
     Dyn* d = find_dyn(scope);
@@ -567,21 +512,10 @@ resolve::ResolverCore::Hooks Participant::make_hooks(ActionInstanceId scope) {
     CAA_CHECK(dyn != nullptr);
     multicast(*dyn->info, kind, payload);
   };
-  hooks.send = [this, scope](ObjectId to, net::MsgKind kind,
-                             net::Bytes payload) {
-    // The engine's only unicast is the ACK; in tree mode it joins the
-    // hierarchical tally aggregated towards the raiser instead of going
-    // direct (peek recovers the round the engine stamped on it).
-    if (kind == net::MsgKind::kAck) {
-      if (const Dyn* dyn = find_dyn(scope);
-          dyn != nullptr && dyn->info->use_tree) {
-        if (const auto sr = resolve::peek_scope_round(payload); sr.is_ok()) {
-          overlay_.send_ack(scope, sr.value().round, to);
-          return;
-        }
-      }
-    }
-    send(to, kind, std::move(payload));
+  hooks.ack = [this, scope](ObjectId to, std::uint32_t round) {
+    const Dyn* dyn = find_dyn(scope);
+    CAA_CHECK(dyn != nullptr);
+    send_ack(*dyn->info, round, to);
   };
   hooks.abort_nested = [this, scope](std::function<void(ExceptionId)> done) {
     abort_chain_until(scope, std::move(done));
@@ -590,9 +524,7 @@ resolve::ResolverCore::Hooks Participant::make_hooks(ActionInstanceId scope) {
                                       ObjectId resolver) {
     on_round_finished(scope, resolved, resolver);
   };
-  hooks.purge_nested_from = [this](ObjectId peer) {
-    purge_pending_from(peer);
-  };
+  hooks.purge_nested_from = [this](ObjectId peer) { purge_held_from(peer); };
   if (attached()) hooks.obs = &runtime().simulator().obs();
   return hooks;
 }
@@ -613,6 +545,29 @@ void Participant::multicast(const InstanceInfo& info, net::MsgKind kind,
   }
 }
 
+void Participant::unicast(const InstanceInfo& info, ObjectId to,
+                          net::MsgKind kind, net::Bytes payload) {
+  if (info.use_tree) {
+    // Exit and census traffic mostly heads for the live leader, the lowest
+    // live member — exactly the relay-tree root — so it aggregates up the
+    // tree into shared envelopes.
+    overlay_.route(info.instance, to, kind, std::move(payload));
+    return;
+  }
+  send(to, kind, std::move(payload));
+}
+
+void Participant::send_ack(const InstanceInfo& info, std::uint32_t round,
+                           ObjectId to) {
+  if (info.use_tree) {
+    // Joins the hierarchical tally merged towards the raiser.
+    overlay_.send_ack(info.instance, round, to);
+    return;
+  }
+  send(to, net::MsgKind::kAck,
+       resolve::encode(resolve::AckMsg{info.instance, round, id()}));
+}
+
 // ---------------------------------------------------------------------------
 // Overlay dissemination (tree-mode scopes)
 // ---------------------------------------------------------------------------
@@ -624,9 +579,8 @@ void Participant::join_overlay(const InstanceInfo& info) {
     hooks.send_envelope = [this](ObjectId to, net::Bytes payload) {
       send(to, net::MsgKind::kRelay, std::move(payload));
     };
-    // Relayed deliveries re-enter on_message under the *origin*, so every
-    // existing rule — crashed-sender filtering, belated buffering, round
-    // routing, dead-scope Leave replay — applies to tree traffic unchanged.
+    // Relayed deliveries re-enter on_message under the *origin*, so the one
+    // intake rule (classify) applies to tree traffic unchanged.
     hooks.deliver = [this](ActionInstanceId scope, ObjectId origin,
                            net::MsgKind kind, const net::Bytes& payload) {
       (void)scope;
@@ -662,8 +616,8 @@ void Participant::on_relay(ObjectId from, const net::Bytes& payload) {
   const InstanceInfo& info = manager_.info(scope.value());
   if (!info.use_tree || !info.is_member(id())) return;
   // Register lazily: a belated member (or one that already left) still
-  // relays for the committee; local deliveries fall through to the belated
-  // buffer / dead-scope paths like any direct message.
+  // relays for the committee; local deliveries meet the intake rule like
+  // any direct message.
   join_overlay(info);
   overlay_.on_envelope(from, payload);
 }
@@ -701,7 +655,7 @@ void Participant::on_round_finished(ActionInstanceId scope,
     d->engine = make_engine(*d, scope);
     d->done_sent = false;  // the handler takes over and completes anew
     sync_caa_health();     // exit occupancy: the handler re-opened our part
-    drain_future(scope);
+    release_held(scope);
     invoke_handler(scope, resolved, resolved_round);
   });
 }
@@ -834,35 +788,6 @@ void Participant::complete_internal(ActionInstanceId scope, bool ok,
   dyn->exit->on_complete(m);
 }
 
-void Participant::on_exit_msg(ObjectId from, net::MsgKind kind,
-                              const net::Bytes& payload) {
-  auto sr = resolve::peek_scope_round(payload);
-  if (!sr.is_ok()) return;
-  const ActionInstanceId scope = sr.value().scope;
-  if (dead_.contains(scope)) {
-    // A member that missed the final Leave (lost with the crashed leader)
-    // re-sends its Done/vote to us after re-election; if we exited this
-    // scope through its exit protocol, release the sender with the outcome
-    // everyone else applied.
-    if (const LeaveMsg* rec = leave_log_.find(scope);
-        rec != nullptr && !manager_.debug_bugs().lost_final_leave) {
-      // The planted-bug flag re-opens the PR 5 lost-final-Leave hole by
-      // dropping the belated Done instead (see action::DebugBugs).
-      send(from, net::MsgKind::kActionLeave, encode(*rec));
-      return;
-    }
-    runtime().simulator().counters().add(kCounterDeadScopeDropped);
-    return;
-  }
-  Dyn* dyn = find_dyn(scope);
-  if (dyn == nullptr) {
-    buffer_belated(scope, RawMsg{from, kind, payload});
-    return;
-  }
-  wd_progress(scope);
-  dyn->exit->on_message(from, kind, payload);
-}
-
 void Participant::on_leave_ack(ObjectId from, const net::Bytes& payload) {
   (void)from;
   auto m = exit::decode_leave_ack(payload);
@@ -951,7 +876,7 @@ void Participant::apply_leave(const LeaveMsg& m) {
       ++dyn->round;  // a new attempt is a new protocol round
       dyn->engine = make_engine(*dyn, m.scope);
       sync_caa_health();  // exit occupancy: the new attempt re-opened our part
-      drain_future(m.scope);
+      release_held(m.scope);
       if (dyn->config.body) {
         run_guarded(m.scope, 0, [this, scope = m.scope] {
           Dyn* d = find_dyn(scope);
@@ -991,7 +916,7 @@ void Participant::pop_context(ActionInstanceId scope, bool dead) {
   dyn_.erase(scope);
   if (!overlay_.manages(scope)) exclusions_.erase(scope);
   if (dead) dead_.insert(scope);
-  pending_.erase(scope);
+  held_.erase(scope);
   sync_caa_health();
   wd_closed(scope);
 }
@@ -1073,14 +998,7 @@ bool Participant::exit_resolution_idle(ActionInstanceId scope) const {
 
 void Participant::exit_unicast(ActionInstanceId scope, ObjectId to,
                                net::MsgKind kind, net::Bytes payload) {
-  const Dyn& dyn = dyn_of(scope);
-  if (dyn.info->use_tree) {
-    // The live leader is the lowest live member — exactly the relay-tree
-    // root — so exit traffic aggregates up the tree into shared envelopes.
-    overlay_.route(scope, to, kind, std::move(payload));
-    return;
-  }
-  send(to, kind, std::move(payload));
+  unicast(*dyn_of(scope).info, to, kind, std::move(payload));
 }
 
 void Participant::exit_unicast_many(ActionInstanceId scope,
@@ -1164,7 +1082,7 @@ void Participant::notify_peer_crashed(ObjectId peer) {
   if (peer == id()) return;
   if (!crashed_.insert(peer).second) return;  // already known
   retired_exits_.clear();  // no exit-protocol frames on the stack here
-  purge_pending_from(peer);
+  purge_held_from(peer);
   // Open scopes that lose the peer, outermost first, with pre-crash leaders.
   std::vector<std::pair<ActionInstanceId, ObjectId>> losing;
   for (std::size_t depth = 0; depth < contexts_.size(); ++depth) {
@@ -1400,7 +1318,7 @@ void Participant::on_restarted() {
     }
     pop_context(scope, /*dead=*/true);
   }
-  pending_.clear();
+  held_.clear();
   // Relay caches and squelch state are volatile too: the healed survivor
   // trees exclude us, and on_relay drops envelopes for abandoned scopes.
   overlay_.clear();

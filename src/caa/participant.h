@@ -14,17 +14,21 @@
 //    list-emptying are made precise by tagging every protocol message with a
 //    round number. Stale-round Exception/NestedCompleted messages are still
 //    acknowledged (their senders need the ACKs to reach Ready) but not
-//    recorded; future-round messages are buffered.
+//    recorded; future-round messages are held.
 //  * Belated participants: messages scoped to an instance this object has
-//    not entered are buffered and replayed on entry ("process messages
-//    having arrived"); HaveNested(O_j) purges buffered messages from O_j
-//    ("clean up messages related to nested actions"); aborted instances are
-//    tombstoned and their late messages dropped.
+//    not entered are held and replayed on entry ("process messages having
+//    arrived"); HaveNested(O_j) purges held messages from O_j ("clean up
+//    messages related to nested actions"); aborted instances are tombstoned
+//    and their late messages dropped.
+//  * One intake: both rules above, and the crashed-sender and Leave-log
+//    ones, are the single pure function classify(). Every scoped message
+//    takes its verdict from it, and one hold map keeps what cannot be
+//    delivered yet until entry, a round bump or backward recovery.
 //  * Crash exclusion (extension, DESIGN.md §4b): one set per scope, from
-//    first contact — entry, a buffered belated message, a CrashSync push or
-//    a relayed envelope — so a belated entrant excludes every crash heard
-//    of since, restarts included. Engines, exit protocol, avoidance, leave
-//    log and relay tree read it; notify_peer_crashed alone writes it.
+//    first contact — entry, a held belated message, a CrashSync push or a
+//    relayed envelope — so a belated entrant excludes every crash heard of
+//    since, restarts included. Engines, exit protocol, avoidance, leave log
+//    and relay tree read it; notify_peer_crashed alone writes it.
 #pragma once
 
 #include <deque>
@@ -101,20 +105,7 @@ struct EnterConfig {
   /// recovery among the survivors.
   ExceptionId crash_exception;
 
-  // ---- Coordination avoidance (src/resolve/avoidance.h) ---------------
-
-  /// Overrides the commutative-exception fast path for this entry. Unset
-  /// (the default) inherits the instance's stamped selection
-  /// (WorldConfig.resolve_avoidance). A member with it off still answers
-  /// census probes — the override only gates *initiating* fast raises.
-  std::optional<bool> resolve_avoidance;
-
   // ---- Exit-protocol seam (src/exit/) ---------------------------------
-
-  /// Overrides the exit/commit protocol for this entry. Unset (the default)
-  /// inherits the instance's stamped selection (WorldConfig.exit_protocol).
-  /// Every member of a committee must end up with the same protocol.
-  std::optional<exit::ExitKind> exit_protocol;
 
   /// Test hook: builds the exit protocol instead of make_exit_protocol().
   /// Lets tests interpose a fake/instrumented ExitProtocol at the seam.
@@ -193,14 +184,6 @@ class EnterConfig::Builder {
     config_.crash_exception = exception;
     return *this;
   }
-  Builder& resolve_avoidance(bool on) {
-    config_.resolve_avoidance = on;
-    return *this;
-  }
-  Builder& exit_protocol(exit::ExitKind kind) {
-    config_.exit_protocol = kind;
-    return *this;
-  }
   Builder& exit_factory(
       std::function<std::unique_ptr<exit::ExitProtocol>(
           exit::ExitHost&, const InstanceInfo&)>
@@ -225,6 +208,33 @@ inline EnterConfig::Builder EnterConfig::with(ex::HandlerTable handlers) {
 /// Builds a handler table with `result` for every exception in `tree`.
 ex::HandlerTable uniform_handlers(const ex::ExceptionTree& tree,
                                   ex::HandlerResult result);
+
+/// What a participant knows of a message's scope when the message arrives.
+struct ScopeSeen {
+  bool dead = false;          // tombstoned: aborted, left or abandoned here
+  bool entered = false;       // a context is open for it
+  bool aborting = false;      // an outer resolution is aborting it
+  std::uint32_t round = 0;    // its current round (entered only)
+  bool engine_ready = false;  // that round's engine is installed
+};
+
+/// What becomes of one scoped message.
+enum class Verdict : std::uint8_t {
+  kDeliver,
+  kHold,          // until entry or the message's round
+  kStale,         // an earlier round: ACK it if its sender needs the ACK
+  kDropCrashed,   // a crashed sender's resolution content is void
+  kDropDead,
+  kDropAborting,  // the outer resolution supersedes this scope's
+  kAnswerLeave,   // a left scope's Done or vote: reply from the Leave log
+};
+
+/// The intake rule for every scoped kind — the five resolution kinds,
+/// kFastCover, kActionDone, the four Paxos kinds and kActionLeave — given
+/// the message's `round` and whether its sender is known to have crashed.
+/// Pure, so one table test (caa_races_test, ScopeInbox) pins all of it.
+[[nodiscard]] Verdict classify(net::MsgKind kind, bool from_crashed,
+                               const ScopeSeen& scope, std::uint32_t round);
 
 /// A record of one handled (resolved) exception, for assertions.
 struct HandledRecord {
@@ -316,7 +326,7 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   /// hook) when this participant's node comes back up after a crash. A
   /// fail-stop crash loses all volatile action state, so every open context
   /// is abandoned innermost-first (tombstoned like an abort — counted under
-  /// caa.restart_abandoned) and buffered belated messages are discarded.
+  /// caa.restart_abandoned) and held belated messages are discarded.
   /// The restarted object may enter *new* action instances afterwards;
   /// rejoining the instances it crashed out of is not supported (survivors
   /// have excluded it).
@@ -394,9 +404,8 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
     // here. Created in enter(), retired (not destroyed) at pop_context.
     std::unique_ptr<exit::ExitProtocol> exit;
     // Coordination-avoidance coordinator (src/resolve/avoidance.h).
-    // Created lazily on the first fast raise OR the first incoming
-    // kFastCover, so members whose per-entry override disables initiation
-    // still answer the census.
+    // Created lazily, on the first fast raise or the first kFastCover
+    // delivered, so a scope that never sees a census pays nothing for it.
     std::unique_ptr<resolve::AvoidanceCoordinator> avoidance;
     // CrashSync barrier (extension): the result of this participant's most
     // recent finished round, advertised to survivors so a resolution the
@@ -413,36 +422,33 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
     // Unconditional (not obs-gated) so campaign percentile rows exist for
     // un-observed worlds; histograms never feed behaviour checksums.
     sim::Time raise_time = -1;
-    std::vector<RawMsg> future;  // messages for rounds we have not reached
   };
 
-  // Routing.
-  void route_resolution(ObjectId from, net::MsgKind kind,
-                        const net::Bytes& payload);
-  void deliver_to_engine(Dyn& dyn, bool scope_is_active, ObjectId from,
-                         net::MsgKind kind, const net::Bytes& payload);
-  void on_exit_msg(ObjectId from, net::MsgKind kind,
-                   const net::Bytes& payload);
+  // Intake of scoped messages: one verdict from classify() each.
+  void on_scoped(ObjectId from, net::MsgKind kind, const net::Bytes& payload);
+  void deliver_to_engine(Dyn& dyn, net::MsgKind kind,
+                         const net::Bytes& payload);
+  void ack_stale(const Dyn& dyn, ObjectId from, net::MsgKind kind,
+                 std::uint32_t round);
+  void hold(ActionInstanceId scope, RawMsg msg);
+  /// Replays a scope's held messages through the intake, in arrival order.
+  void release_held(ActionInstanceId scope);
+  void purge_held_from(ObjectId peer);
   void on_leave_ack(ObjectId from, const net::Bytes& payload);
   void on_leave_msg(const net::Bytes& payload);
   void on_crash_sync(ObjectId from, const net::Bytes& payload);
-  void on_fast_cover(ObjectId from, const net::Bytes& payload);
-  void ack_stale(ObjectId from, net::MsgKind kind, ActionInstanceId scope,
-                 std::uint32_t round);
-  /// Buffers a message for a scope not entered yet (§4.2 entry rule).
-  void buffer_belated(ActionInstanceId scope, RawMsg msg);
-  void drain_future(ActionInstanceId scope);
-  void drain_pending(ActionInstanceId scope);
-  void purge_pending_from(ObjectId peer);
 
   // Resolution plumbing.
   resolve::ResolverCore::Hooks make_hooks(ActionInstanceId scope);
-  /// The scope's avoidance coordinator, created on first use (every member
-  /// must handle census traffic regardless of its own initiation override).
+  /// The scope's avoidance coordinator, created on first use.
   resolve::AvoidanceCoordinator& ensure_avoidance(Dyn& dyn,
                                                   ActionInstanceId scope);
   void multicast(const InstanceInfo& info, net::MsgKind kind,
                  const net::Bytes& payload);
+  /// One member: along the relay tree in tree mode, direct otherwise.
+  void unicast(const InstanceInfo& info, ObjectId to, net::MsgKind kind,
+               net::Bytes payload);
+  void send_ack(const InstanceInfo& info, std::uint32_t round, ObjectId to);
 
   // Overlay dissemination (tree-mode scopes; src/overlay/).
   void join_overlay(const InstanceInfo& info);
@@ -544,7 +550,9 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   // goes with its context, a tree scope's when the overlay drops the scope.
   std::map<ActionInstanceId, std::set<ObjectId>> exclusions_;
   std::map<ActionInstanceId, Dyn> dyn_;
-  std::map<ActionInstanceId, std::vector<RawMsg>> pending_;  // belated
+  // Messages classify() held: for a scope not entered yet, or for a round
+  // the entered scope has not reached.
+  std::map<ActionInstanceId, std::vector<RawMsg>> held_;
   std::set<ActionInstanceId> dead_;
   std::set<ActionInstanceId> abandoned_;  // scopes wiped by our own restarts
   // Final Leave of every scope this participant exited through an exit

@@ -53,15 +53,14 @@ struct WorldConfig {
   overlay::OverlayParams overlay;
   /// Exit/commit protocol stamped onto every action instance (src/exit/):
   /// the paper's leader barrier, or Gray & Lamport's non-blocking Paxos
-  /// Commit. Per-entry override: EnterConfig::Builder::exit_protocol().
+  /// Commit. Every member of an instance reads the same stamp.
   exit::ExitKind exit_protocol = exit::ExitKind::kBarrier;
   /// Coordination avoidance (src/resolve/avoidance.h): commutative raise
   /// rounds — every concurrent raise provably joins to one universal cover
   /// in the exception tree — are decided by a leader census over kFastCover
   /// messages and commit with zero Exception/ACK round-trips, falling back
   /// to the paper's full exchange on any conflict, crash, or busy member.
-  /// Resolved checksums are identical either way. Per-entry override:
-  /// EnterConfig::Builder::resolve_avoidance().
+  /// Resolved checksums are identical either way.
   bool resolve_avoidance = false;
   /// Garbage-collect per-scope final-Leave records once every committee
   /// member has ACKed its Leave. Adds one LeaveAck broadcast per member per

@@ -57,16 +57,12 @@ class ExitHost {
   /// The SAME payload to many members at once — the Paxos 2a pattern (one
   /// Prepare/re-proposal to the whole acceptor set). Tree-mode hosts batch
   /// the group into shared envelopes that carry the payload once per tree
-  /// edge (Disseminator::route_multi); this default sends one pooled copy
-  /// per target, byte-identical to a caller-side loop.
+  /// edge (Disseminator::route_multi); flat ones send one pooled copy per
+  /// target.
   virtual void exit_unicast_many(ActionInstanceId scope,
                                  const std::vector<ObjectId>& targets,
                                  net::MsgKind kind,
-                                 const net::Bytes& payload) {
-    for (ObjectId to : targets) {
-      exit_unicast(scope, to, kind, net::BytesPool::local().copy_of(payload));
-    }
-  }
+                                 const net::Bytes& payload) = 0;
   /// Multicast to every other member (tree flood / flat fan-out with pooled
   /// payload copies) — the delivery pattern of the final Leave.
   virtual void exit_multicast(ActionInstanceId scope, net::MsgKind kind,

@@ -124,8 +124,9 @@ class AvoidanceCoordinator {
     return !pending_ && !census_active_ && !promised_.has_value();
   }
 
-  /// One kFastCover message for this scope. The owner has already filtered
-  /// crashed senders and dead scopes; round routing happens here.
+  /// One kFastCover message for this scope's current round. The owner's
+  /// intake has already filtered crashed senders, dead scopes and other
+  /// rounds (stale ones go to on_stale).
   void on_message(ObjectId from, const FastCoverMsg& m);
 
   /// One of the five protocol messages arrived for this scope's current

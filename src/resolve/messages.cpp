@@ -37,6 +37,12 @@ Result<ExceptionId> get_exception(net::WireReader& r) {
   if (!v.is_ok()) return v.status();
   return ExceptionId(v.value());
 }
+
+template <typename M>
+Result<ProtocolMsg> widen(const Result<M>& m) {
+  if (!m.is_ok()) return m.status();
+  return ProtocolMsg(m.value());
+}
 }  // namespace
 
 net::Bytes encode(const ExceptionMsg& m) {
@@ -203,6 +209,19 @@ Result<FastCoverMsg> decode_fast_cover(const net::Bytes& bytes) {
                       static_cast<FastCoverMsg::Phase>(phase.value()),
                       exception.value(),
                       cover.value()};
+}
+
+Result<ProtocolMsg> decode_protocol(net::MsgKind kind,
+                                    const net::Bytes& bytes) {
+  switch (kind) {
+    case net::MsgKind::kException: return widen(decode_exception(bytes));
+    case net::MsgKind::kHaveNested: return widen(decode_have_nested(bytes));
+    case net::MsgKind::kNestedCompleted:
+      return widen(decode_nested_completed(bytes));
+    case net::MsgKind::kAck: return widen(decode_ack(bytes));
+    case net::MsgKind::kCommit: return widen(decode_commit(bytes));
+    default: return Status::invalid_argument("not a resolution kind");
+  }
 }
 
 Result<ScopeRound> peek_scope_round(const net::Bytes& bytes) {

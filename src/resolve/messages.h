@@ -11,10 +11,11 @@
 // *round* number — our clarification of the paper's "wait until all
 // exception messages are handled": within one action instance, resolution
 // rounds are numbered, stale-round messages are acknowledged but not
-// recorded, and future-round messages are buffered.
+// recorded, and future-round messages are held (action::classify).
 #pragma once
 
 #include <cstdint>
+#include <variant>
 
 #include "net/message.h"
 #include "util/ids.h"
@@ -54,6 +55,10 @@ struct CommitMsg {
   ObjectId resolver;
   ExceptionId resolved;
 };
+
+/// One of the five messages above, as the resolution engine takes it.
+using ProtocolMsg = std::variant<ExceptionMsg, HaveNestedMsg,
+                                 NestedCompletedMsg, AckMsg, CommitMsg>;
 
 /// Crash-tolerance extension (not one of the paper's five): when a member
 /// learns that `crashed` failed, it pushes its resolution status for the
@@ -118,6 +123,9 @@ Result<AckMsg> decode_ack(const net::Bytes& bytes);
 Result<CommitMsg> decode_commit(const net::Bytes& bytes);
 Result<CrashSyncMsg> decode_crash_sync(const net::Bytes& bytes);
 Result<FastCoverMsg> decode_fast_cover(const net::Bytes& bytes);
+/// Decodes a packet of one of the five resolution kinds by its wire kind;
+/// any other kind is an error.
+Result<ProtocolMsg> decode_protocol(net::MsgKind kind, const net::Bytes& bytes);
 
 /// Scope and round of any resolution-kind packet, without full decoding.
 struct ScopeRound {

@@ -128,12 +128,14 @@ void ResolverCore::raise(ExceptionId exception, std::string message) {
   sync_health();
 }
 
-void ResolverCore::on_trigger_while_nested(
-    std::variant<ExceptionMsg, HaveNestedMsg> trigger) {
+void ResolverCore::on_trigger_while_nested(const ProtocolMsg& trigger) {
+  CAA_CHECK_MSG(std::holds_alternative<ExceptionMsg>(trigger) ||
+                    std::holds_alternative<HaveNestedMsg>(trigger),
+                "nested trigger must be an Exception or a HaveNested");
   if (state_ == State::kAborting) {
     // Already aborting for this scope: just queue the trigger message; it
     // will be recorded/ACKed after abortion like any other.
-    std::visit([this](const auto& m) { queued_.push_back(m); }, trigger);
+    queued_.push_back(trigger);
     return;
   }
   CAA_CHECK_MSG(state_ == State::kNormal,
@@ -144,7 +146,7 @@ void ResolverCore::on_trigger_while_nested(
                    encode(HaveNestedMsg{scope_, round_, self_}));
   note_send(net::MsgKind::kHaveNested,
             static_cast<std::int64_t>(members_.size() - 1));
-  std::visit([this](const auto& m) { queued_.push_back(m); }, trigger);
+  queued_.push_back(trigger);
   hooks_.abort_nested([this](ExceptionId signalled) {
     abort_finished(signalled);
   });
@@ -178,14 +180,14 @@ void ResolverCore::abort_finished(ExceptionId signalled) {
     record_flight(obs::RecType::kState, static_cast<std::uint32_t>(state_));
   }
   // Replay messages that arrived during the abortion.
-  std::vector<AnyMsg> queued = std::move(queued_);
+  std::vector<ProtocolMsg> queued = std::move(queued_);
   queued_.clear();
   for (const auto& m : queued) process(m);
   maybe_ready();
   sync_health();
 }
 
-void ResolverCore::process(const AnyMsg& m) {
+void ResolverCore::process(const ProtocolMsg& m) {
   std::visit(
       [this](const auto& msg) {
         using T = std::decay_t<decltype(msg)>;
@@ -204,48 +206,12 @@ void ResolverCore::process(const AnyMsg& m) {
       m);
 }
 
-void ResolverCore::on_exception(const ExceptionMsg& m) {
+void ResolverCore::on_message(const ProtocolMsg& m) {
   if (state_ == State::kAborting) {
     queued_.push_back(m);
     return;
   }
-  handle_exception(m);
-  sync_health();
-}
-
-void ResolverCore::on_have_nested(const HaveNestedMsg& m) {
-  if (state_ == State::kAborting) {
-    queued_.push_back(m);
-    return;
-  }
-  handle_have_nested(m);
-  sync_health();
-}
-
-void ResolverCore::on_nested_completed(const NestedCompletedMsg& m) {
-  if (state_ == State::kAborting) {
-    queued_.push_back(m);
-    return;
-  }
-  handle_nested_completed(m);
-  sync_health();
-}
-
-void ResolverCore::on_ack(const AckMsg& m) {
-  if (state_ == State::kAborting) {
-    queued_.push_back(m);
-    return;
-  }
-  handle_ack(m);
-  sync_health();
-}
-
-void ResolverCore::on_commit(const CommitMsg& m) {
-  if (state_ == State::kAborting) {
-    queued_.push_back(m);
-    return;
-  }
-  handle_commit(m);
+  process(m);
   sync_health();
 }
 
@@ -350,7 +316,7 @@ void ResolverCore::record_exception(ExceptionId exception, ObjectId raiser,
 }
 
 void ResolverCore::send_ack(ObjectId to) {
-  hooks_.send(to, net::MsgKind::kAck, encode(AckMsg{scope_, round_, self_}));
+  hooks_.ack(to, round_);
   note_send(net::MsgKind::kAck, 1);
 }
 
@@ -440,7 +406,7 @@ void ResolverCore::set_commit_gate(bool gated) {
 void ResolverCore::maybe_ready() {
   if (state_ != State::kExceptional) {
     // A suspended object can only hold a commit through the synced path
-    // (on_commit finishes immediately in S); apply it as soon as noticed.
+    // (a delivered Commit finishes at once in S); apply it as soon as noticed.
     if (state_ == State::kSuspended && pending_commit_) {
       finish(*pending_commit_);
       return;

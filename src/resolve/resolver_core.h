@@ -2,9 +2,12 @@
 // primary contribution — for ONE participant in ONE action instance during
 // ONE resolution round.
 //
-// The engine is pure protocol logic: all I/O happens through injected hooks
-// (multicast / send / abort-nested / start-handler), which makes it unit-
-// testable by feeding messages directly, and reusable over any transport.
+// The engine is pure protocol logic: every message comes in through one
+// entry point, on_message (decode_protocol turns a packet into its
+// argument), and all I/O leaves through injected hooks (multicast / ack /
+// abort-nested / start-handler). The ACK is its only unicast. That makes it
+// unit-testable by feeding messages directly, and reusable over any
+// transport.
 //
 // State mapping to the paper:
 //   kNormal      = N
@@ -34,7 +37,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "ex/exception.h"
@@ -58,8 +60,9 @@ class ResolverCore {
   struct Hooks {
     /// Sends a protocol message to every group member except self.
     std::function<void(net::MsgKind, net::Bytes)> multicast;
-    /// Sends a protocol message to one member.
-    std::function<void(ObjectId, net::MsgKind, net::Bytes)> send;
+    /// ACKs `round` of this scope to `to` — the engine's only unicast, so
+    /// the owner picks its route (direct, or the relay tree's merged tally).
+    std::function<void(ObjectId to, std::uint32_t round)> ack;
     /// Aborts all actions nested below this scope (abortion handlers,
     /// innermost first) and eventually calls done(signalled) with the one
     /// exception the *directly* nested action's abortion handler signalled,
@@ -131,8 +134,8 @@ class ResolverCore {
     return pending_commit_;
   }
 
-  /// Applies a commit learned through the CrashSync barrier. Unlike
-  /// on_commit this accepts a commit produced by a now-excluded resolver:
+  /// Applies a commit learned through the CrashSync barrier. Unlike a
+  /// delivered Commit, this accepts one produced by a now-excluded resolver:
   /// the barrier only forwards commits some live member already holds, so
   /// applying it cannot diverge from the survivors.
   void apply_synced_commit(const CommitMsg& m);
@@ -171,19 +174,15 @@ class ResolverCore {
   /// §4.1 allows one exception per object per action).
   void raise(ExceptionId exception, std::string message = {});
 
-  /// Called by the owner when a trigger message (Exception or HaveNested in
-  /// this scope) arrives while this participant's *active* action is nested
-  /// below this scope. Implements the paper's HaveNested branch. The trigger
-  /// itself is processed after abortion completes.
-  void on_trigger_while_nested(
-      std::variant<ExceptionMsg, HaveNestedMsg> trigger);
+  /// Called by the owner when a trigger message (an Exception or a
+  /// HaveNested in this scope) arrives while this participant's *active*
+  /// action is nested below this scope. Implements the paper's HaveNested
+  /// branch. The trigger itself is processed after abortion completes.
+  void on_trigger_while_nested(const ProtocolMsg& trigger);
 
-  /// Message deliveries for this scope+round (router guarantees both match).
-  void on_exception(const ExceptionMsg& m);
-  void on_have_nested(const HaveNestedMsg& m);
-  void on_nested_completed(const NestedCompletedMsg& m);
-  void on_ack(const AckMsg& m);
-  void on_commit(const CommitMsg& m);
+  /// One protocol message for this scope and round (the owner guarantees
+  /// both match). Queued while abortion handlers run.
+  void on_message(const ProtocolMsg& m);
 
   /// True once the round finished (handler started).
   [[nodiscard]] bool finished() const { return state_ == State::kHandling; }
@@ -198,10 +197,7 @@ class ResolverCore {
   [[nodiscard]] ExceptionId resolved() const { return resolved_; }
 
  private:
-  using AnyMsg = std::variant<ExceptionMsg, HaveNestedMsg, NestedCompletedMsg,
-                              AckMsg, CommitMsg>;
-
-  void process(const AnyMsg& m);
+  void process(const ProtocolMsg& m);
   void handle_exception(const ExceptionMsg& m);
   void handle_have_nested(const HaveNestedMsg& m);
   void handle_nested_completed(const NestedCompletedMsg& m);
@@ -267,7 +263,7 @@ class ResolverCore {
   bool awaiting_acks_ = false;  // we multicast Exception or NestedCompleted
   bool commit_gated_ = false;   // CrashSync barrier in progress (extension)
   std::optional<CommitMsg> pending_commit_;
-  std::vector<AnyMsg> queued_;  // messages deferred while kAborting
+  std::vector<ProtocolMsg> queued_;  // messages deferred while kAborting
   ExceptionId resolved_;
   // This engine's last-pushed gauge contributions (so deltas are exact and
   // the destructor can retract them when a round is superseded).

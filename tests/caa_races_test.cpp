@@ -1,7 +1,8 @@
 // Deterministic race tests: asymmetric per-link latencies steer messages
 // into the protocol's subtle windows — the commit that overtakes an
-// exception, ACKs owed after a round closed, future-round buffering after
-// backward recovery, and multiple resolution rounds in one instance.
+// exception, ACKs owed after a round closed, future-round holding after
+// backward recovery, and multiple resolution rounds in one instance. The
+// intake rule that sorts those messages (action::classify) is tabled last.
 #include <gtest/gtest.h>
 
 #include "caa/world.h"
@@ -32,39 +33,57 @@ TEST(CaaRaces, CommitOvertakesSlowExceptionAtSuspendedObject) {
   // exception) must start the handler on Commit, and still ACK O1's
   // late-but-same-round Exception afterwards so O1 can reach Ready and
   // finish the round (the §4.2 "wait until all exception messages are
-  // handled" clause, made precise by rounds).
-  World w;
-  auto& o1 = w.add_participant("O1");
-  auto& o2 = w.add_participant("O2");
-  auto& o3 = w.add_participant("O3");
-  // Default links are 100 ticks; O1 -> O3 takes 5000.
-  net::LinkParams slow;
-  slow.latency_base = 5000;
-  w.network().set_link(node_of(w, o1), node_of(w, o3), slow);
+  // handled" clause, made precise by rounds). Observed, that stale ACK is
+  // tabulated under its round, so the §4.4 per-round table still accounts
+  // for every protocol message sent.
+  for (const bool observe : {false, true}) {
+    SCOPED_TRACE(observe ? "observed" : "not observed");
+    WorldConfig config;
+    config.observe = observe;
+    World w(config);
+    auto& o1 = w.add_participant("O1");
+    auto& o2 = w.add_participant("O2");
+    auto& o3 = w.add_participant("O3");
+    // Default links are 100 ticks; O1 -> O3 takes 5000.
+    net::LinkParams slow;
+    slow.latency_base = 5000;
+    w.network().set_link(node_of(w, o1), node_of(w, o3), slow);
 
-  const auto& decl = w.actions().declare("A", tree3());
-  const auto& inst =
-      w.actions().create_instance(decl, {o1.id(), o2.id(), o3.id()});
-  for (auto* o : {&o1, &o2, &o3}) {
-    ASSERT_TRUE(o->enter(
-        inst.instance,
-        EnterConfig::with(
-            uniform_handlers(decl.tree(), ex::HandlerResult::recovered()))));
-  }
-  w.at(1000, [&] {
-    o1.raise("ea");
-    o2.raise("eb");
-  });
-  w.run();
+    const auto& decl = w.actions().declare("A", tree3());
+    const auto& inst =
+        w.actions().create_instance(decl, {o1.id(), o2.id(), o3.id()});
+    for (auto* o : {&o1, &o2, &o3}) {
+      ASSERT_TRUE(o->enter(
+          inst.instance,
+          EnterConfig::with(
+              uniform_handlers(decl.tree(), ex::HandlerResult::recovered()))));
+    }
+    w.at(1000, [&] {
+      o1.raise("ea");
+      o2.raise("eb");
+    });
+    w.run();
 
-  const ExceptionId both = decl.tree().find("both");
-  for (auto* o : {&o1, &o2, &o3}) {
-    ASSERT_EQ(o->handled().size(), 1u) << o->name();
-    EXPECT_EQ(o->handled()[0].resolved, both) << o->name();
-    EXPECT_FALSE(o->in_action()) << o->name();
+    const ExceptionId both = decl.tree().find("both");
+    for (auto* o : {&o1, &o2, &o3}) {
+      ASSERT_EQ(o->handled().size(), 1u) << o->name();
+      EXPECT_EQ(o->handled()[0].resolved, both) << o->name();
+      EXPECT_FALSE(o->in_action()) << o->name();
+    }
+    // O3 must have ACKed the stale-round Exception after its round closed.
+    EXPECT_GE(w.metrics().value("caa.stale_round"), 1);
+    if (!observe) continue;
+    const auto* rounds = w.metrics().rounds_of(inst.instance);
+    ASSERT_NE(rounds, nullptr);
+    std::int64_t acks = 0;
+    std::int64_t total = 0;
+    for (const obs::RoundCounts& round : *rounds) {
+      acks += round.ack;
+      total += round.total();
+    }
+    EXPECT_EQ(acks, w.metrics().sent(net::MsgKind::kAck));
+    EXPECT_EQ(total, w.metrics().resolution_messages());
   }
-  // O3 must have ACKed the stale-round Exception after its round closed.
-  EXPECT_GE(w.metrics().value("caa.stale_round"), 1);
 }
 
 TEST(CaaRaces, RaiserHoldsForeignCommitUntilReady) {
@@ -220,6 +239,84 @@ TEST(CaaRaces, SlowHaveNestedStillBlocksResolver) {
   ASSERT_EQ(o2.aborts().size(), 1u);
   EXPECT_FALSE(o1.in_action());
   EXPECT_FALSE(o2.in_action());
+}
+
+TEST(ScopeInbox, OneVerdictPerKindAndScopeState) {
+  using action::ScopeSeen;
+  using action::Verdict;
+  using net::MsgKind;
+  // Each row changes one thing about an entered scope at round 2.
+  const ScopeSeen current{.entered = true, .round = 2, .engine_ready = true};
+  const ScopeSeen dead{.dead = true};
+  const ScopeSeen not_entered{};
+  ScopeSeen aborting = current;
+  aborting.aborting = true;
+  ScopeSeen no_engine = current;
+  no_engine.engine_ready = false;
+  struct Row {
+    const char* state;
+    bool from_crashed;
+    ScopeSeen scope;
+    std::uint32_t round;
+    Verdict resolution;  // the five resolution kinds and kFastCover
+    Verdict exit;        // kActionDone and the four Paxos kinds
+    Verdict leave;       // kActionLeave
+  };
+  const Row rows[] = {
+      {"crashed sender", true, current, 2, Verdict::kDropCrashed,
+       Verdict::kDeliver, Verdict::kDeliver},
+      {"crashed sender, dead scope", true, dead, 2, Verdict::kDropCrashed,
+       Verdict::kAnswerLeave, Verdict::kDropDead},
+      {"dead", false, dead, 2, Verdict::kDropDead, Verdict::kAnswerLeave,
+       Verdict::kDropDead},
+      {"not entered", false, not_entered, 2, Verdict::kHold, Verdict::kHold,
+       Verdict::kDropDead},
+      {"aborting", false, aborting, 2, Verdict::kDropAborting,
+       Verdict::kDeliver, Verdict::kDeliver},
+      {"earlier round", false, current, 1, Verdict::kStale, Verdict::kDeliver,
+       Verdict::kDeliver},
+      {"later round", false, current, 3, Verdict::kHold, Verdict::kDeliver,
+       Verdict::kDeliver},
+      {"engine not installed", false, no_engine, 2, Verdict::kHold,
+       Verdict::kDeliver, Verdict::kDeliver},
+      {"current round", false, current, 2, Verdict::kDeliver,
+       Verdict::kDeliver, Verdict::kDeliver},
+  };
+  const MsgKind resolution_kinds[] = {
+      MsgKind::kException, MsgKind::kHaveNested, MsgKind::kNestedCompleted,
+      MsgKind::kAck,       MsgKind::kCommit,     MsgKind::kFastCover};
+  const MsgKind exit_kinds[] = {MsgKind::kActionDone, MsgKind::kPaxosPrepare,
+                                MsgKind::kPaxosPromise, MsgKind::kPaxosVote,
+                                MsgKind::kPaxosAccepted};
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.state);
+    for (const MsgKind kind : resolution_kinds) {
+      EXPECT_EQ(action::classify(kind, row.from_crashed, row.scope, row.round),
+                row.resolution)
+          << net::kind_name(kind);
+    }
+    for (const MsgKind kind : exit_kinds) {
+      EXPECT_EQ(action::classify(kind, row.from_crashed, row.scope, row.round),
+                row.exit)
+          << net::kind_name(kind);
+    }
+    EXPECT_EQ(action::classify(MsgKind::kActionLeave, row.from_crashed,
+                               row.scope, row.round),
+              row.leave);
+  }
+}
+
+TEST(ScopeInbox, UnscopedKindIsCountedUnhandled) {
+  World w;
+  auto& o1 = w.add_participant("O1");
+  auto& o2 = w.add_participant("O2");
+  w.at(100, [&] {
+    w.runtime(node_of(w, o1))
+        .send(o1.id(), o2.id(), net::MsgKind::kAppData, net::Bytes{});
+  });
+  w.run();
+  EXPECT_EQ(w.metrics().delivered(net::MsgKind::kAppData), 1);
+  EXPECT_EQ(w.metrics().value("caa.unhandled_kind"), 1);
 }
 
 }  // namespace

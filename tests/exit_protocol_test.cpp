@@ -144,7 +144,7 @@ TEST(ExitSeam, FakeProtocolDrivesTheExitThroughTheHost) {
   EXPECT_EQ(w.objects[0]->exit_protocol_of(w.inst->instance), nullptr);
 }
 
-TEST(ExitSeam, EnterOverrideAndWorldDefaultSelectTheProtocol) {
+TEST(ExitSeam, WorldDefaultSelectsTheProtocol) {
   WorldConfig config;
   config.exit_protocol = exit::ExitKind::kPaxos;
   ExitWorld defaulted(config);
@@ -155,21 +155,9 @@ TEST(ExitSeam, EnterOverrideAndWorldDefaultSelectTheProtocol) {
     EXPECT_EQ(p->kind(), exit::ExitKind::kPaxos);
   }
 
-  ExitWorld overridden;  // world default barrier, per-entry paxos
-  overridden.build(3, [](EnterConfig::Builder b) {
-    return std::move(b).exit_protocol(exit::ExitKind::kPaxos);
-  });
-  const exit::ExitProtocol* p =
-      overridden.objects[0]->exit_protocol_of(overridden.inst->instance);
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(p->kind(), exit::ExitKind::kPaxos);
-
   defaulted.complete_all_at(1000);
-  overridden.complete_all_at(1000);
   defaulted.world.run();
-  overridden.world.run();
   for (auto* o : defaulted.objects) EXPECT_FALSE(o->in_action());
-  for (auto* o : overridden.objects) EXPECT_FALSE(o->in_action());
 }
 
 // ---- Barrier / Paxos behavioural equivalence ------------------------------

@@ -282,38 +282,6 @@ TEST(ResolveAvoidance, DisjointSiblingScopesCommitIndependently) {
   }
 }
 
-TEST(ResolveAvoidance, PerEntryOverrideKeepsMemberAnswering) {
-  // An EnterConfig override turning avoidance OFF only stops that member
-  // from *initiating* fast rounds — it still answers probes, so a peer's
-  // commutative raise commits fast anyway.
-  WorldConfig config;
-  config.resolve_avoidance = true;
-  World w(config);
-  std::vector<Participant*> objects;
-  std::vector<ObjectId> ids;
-  for (int i = 0; i < 3; ++i) {
-    objects.push_back(&w.add_participant("O" + std::to_string(i + 1)));
-    ids.push_back(objects.back()->id());
-  }
-  const auto& decl = w.actions().declare("A", ex::shapes::star(3));
-  const auto& inst = w.actions().create_instance(decl, ids);
-  for (int i = 0; i < 3; ++i) {
-    auto builder = EnterConfig::with(
-        uniform_handlers(decl.tree(), ex::HandlerResult::recovered()));
-    if (i == 2) builder.resolve_avoidance(false);
-    ASSERT_TRUE(objects[i]->enter(inst.instance, std::move(builder).build()));
-  }
-  // The opted-out member raises: classic Exception multicast, which any
-  // open census would treat as slow traffic. Run it alone first.
-  w.at(1000, [&] { objects[2]->raise("s1"); });
-  w.run();
-  EXPECT_GT(w.metrics().sent(net::MsgKind::kException), 0);
-  EXPECT_EQ(w.metrics().value("resolve.fast_commits"), 0);
-  for (auto* o : objects) {
-    EXPECT_EQ(o->handled().size(), 1u);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Chaos smoke: the fast path must survive every fault-mix profile — all
 // fallbacks clean, zero oracle violations — at campaign scale.

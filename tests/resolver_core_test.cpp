@@ -45,9 +45,9 @@ struct Bus {
         queue.push_back(Wire{self, ObjectId::invalid(), kind,
                              std::move(payload)});
       };
-      hooks.send = [this, self](ObjectId to, net::MsgKind kind,
-                                net::Bytes payload) {
-        queue.push_back(Wire{self, to, kind, std::move(payload)});
+      hooks.ack = [this, self, scope](ObjectId to, std::uint32_t round) {
+        queue.push_back(Wire{self, to, net::MsgKind::kAck,
+                             encode(AckMsg{scope, round, self})});
       };
       hooks.abort_nested = [this, i](std::function<void(ExceptionId)> done) {
         ++aborted[i];
@@ -65,26 +65,9 @@ struct Bus {
     Wire w = std::move(queue.front());
     queue.pop_front();
     auto dispatch = [&](ResolverCore& engine) {
-      switch (w.kind) {
-        case net::MsgKind::kException:
-          engine.on_exception(decode_exception(w.payload).value());
-          break;
-        case net::MsgKind::kHaveNested:
-          engine.on_have_nested(decode_have_nested(w.payload).value());
-          break;
-        case net::MsgKind::kNestedCompleted:
-          engine.on_nested_completed(
-              decode_nested_completed(w.payload).value());
-          break;
-        case net::MsgKind::kAck:
-          engine.on_ack(decode_ack(w.payload).value());
-          break;
-        case net::MsgKind::kCommit:
-          engine.on_commit(decode_commit(w.payload).value());
-          break;
-        default:
-          FAIL() << "unexpected kind";
-      }
+      const auto m = decode_protocol(w.kind, w.payload);
+      ASSERT_TRUE(m.is_ok()) << "unexpected kind";
+      engine.on_message(m.value());
     };
     if (w.to.valid()) {
       dispatch(*engines[w.to.value()]);
@@ -227,13 +210,13 @@ TEST(ResolverCore, ResolverWaitsForNestedCompletion) {
   Bus bus(2, &tree);
   bus.engines[0]->raise(tree.find("s1"));
   // Engine 1 announces nested activity (HaveNested) but has not completed.
-  bus.engines[0]->on_have_nested(
+  bus.engines[0]->on_message(
       HaveNestedMsg{ActionInstanceId(1), 0, ObjectId(1)});
   // Even with the ACK, engine 0 must not reach Ready while LO has a
   // pending entry.
-  bus.engines[0]->on_ack(AckMsg{ActionInstanceId(1), 0, ObjectId(1)});
+  bus.engines[0]->on_message(AckMsg{ActionInstanceId(1), 0, ObjectId(1)});
   EXPECT_EQ(bus.engines[0]->state(), State::kExceptional);
-  bus.engines[0]->on_nested_completed(
+  bus.engines[0]->on_message(
       NestedCompletedMsg{ActionInstanceId(1), 0, ObjectId(1),
                          ExceptionId::invalid()});
   // Now: all ACKs + all nested completed => Ready => max raiser => commit.
@@ -247,14 +230,14 @@ TEST(ResolverCore, CommitHeldUntilReady) {
   // Engines 0 and 2 raise; engine 0 receives the commit from 2 before its
   // own ACKs are complete: it must hold the commit until Ready.
   bus.engines[0]->raise(tree.find("s1"));
-  bus.engines[0]->on_exception(
+  bus.engines[0]->on_message(
       ExceptionMsg{ActionInstanceId(1), 0, ObjectId(2), tree.find("s3")});
-  bus.engines[0]->on_commit(
+  bus.engines[0]->on_message(
       CommitMsg{ActionInstanceId(1), 0, ObjectId(2), tree.root()});
   EXPECT_EQ(bus.engines[0]->state(), State::kExceptional);  // held
-  bus.engines[0]->on_ack(AckMsg{ActionInstanceId(1), 0, ObjectId(1)});
+  bus.engines[0]->on_message(AckMsg{ActionInstanceId(1), 0, ObjectId(1)});
   EXPECT_EQ(bus.engines[0]->state(), State::kExceptional);  // one ACK missing
-  bus.engines[0]->on_ack(AckMsg{ActionInstanceId(1), 0, ObjectId(2)});
+  bus.engines[0]->on_message(AckMsg{ActionInstanceId(1), 0, ObjectId(2)});
   EXPECT_EQ(bus.engines[0]->state(), State::kHandling);
   EXPECT_EQ(bus.handled[0], tree.root());
 }
@@ -285,6 +268,11 @@ TEST(ResolverCore, MalformedMessagesRejected) {
   EXPECT_FALSE(decode_exception(junk).is_ok());
   EXPECT_FALSE(decode_commit(junk).is_ok());
   EXPECT_FALSE(peek_scope_round(junk).is_ok());
+  EXPECT_FALSE(decode_protocol(net::MsgKind::kException, junk).is_ok());
+  // A well-formed body under a kind that is not one of the five.
+  const net::Bytes ack = encode(AckMsg{ActionInstanceId(1), 0, ObjectId(0)});
+  EXPECT_TRUE(decode_protocol(net::MsgKind::kAck, ack).is_ok());
+  EXPECT_FALSE(decode_protocol(net::MsgKind::kFastCover, ack).is_ok());
 }
 
 }  // namespace

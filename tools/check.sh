@@ -160,6 +160,24 @@ if grep -nE 'std::set<ObjectId>[[:space:]]+[A-Za-z_]*(exclu|crash)|std::vector<O
 fi
 echo "engine, overlay and relay tree read the shared membership"
 
+# One intake for scoped messages: Participant sorts every scoped message
+# by one pure rule (action::classify, table-tested in caa_races_test),
+# keeps what it cannot deliver yet in one hold map, and feeds the
+# resolution engine through its one entry point, ResolverCore::on_message.
+# A per-kind routing chain, a second buffer or a per-kind engine entry
+# point is a second copy of that rule.
+echo "==== one intake grep gate =================================="
+if grep -nE 'route_resolution|on_fast_cover|on_exit_msg|drain_(future|pending)|buffer_belated|[^_a-z]pending_\b|std::vector<RawMsg>[[:space:]]+future' \
+    src/caa/participant.h src/caa/participant.cpp \
+  || grep -nE 'void on_(exception|have_nested|nested_completed|ack|commit)\(' \
+    src/resolve/resolver_core.h; then
+  echo "a second routing chain, hold buffer or engine entry point is back" >&2
+  echo "(classify with action::classify, hold in Participant::held_, and" >&2
+  echo " deliver through ResolverCore::on_message)" >&2
+  exit 1
+fi
+echo "scoped messages take one intake"
+
 # One protocol event stream: the flight recorder (src/obs/flight_recorder.h)
 # records every protocol step as a typed record, and the §4.3 narrative
 # tests, caa-inspect, caa-chaos --trace and the Chrome trace (spans paired
