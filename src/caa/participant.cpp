@@ -56,8 +56,7 @@ bool Participant::enter(ActionInstanceId instance, EnterConfig config) {
     runtime().simulator().counters().add(kCounterEnterRefusedDead);
     return false;
   }
-  if (info.parent.valid() &&
-      (contexts_.empty() || contexts_.active().instance != info.parent)) {
+  if (info.parent.valid() && !is_active(info.parent)) {
     // The containing action is not our active action (it was aborted, or it
     // completed, or we never entered it): entry is impossible — the belated
     // participant "will never be able to enter" (§2.2).
@@ -67,10 +66,10 @@ bool Participant::enter(ActionInstanceId instance, EnterConfig config) {
     runtime().simulator().counters().add(kCounterEnterRefusedDead);
     return false;
   }
-  if (!contexts_.empty()) {
-    CAA_CHECK_MSG(info.parent == contexts_.active().instance,
+  if (in_action()) {
+    CAA_CHECK_MSG(is_active(info.parent),
                   "enter(): instance is not nested in the active action");
-    const Dyn& active_dyn = dyn_.at(contexts_.active().instance);
+    const Dyn& active_dyn = *stack_.back();
     if (active_dyn.aborting || active_dyn.done_sent || active_dyn.handling ||
         active_dyn.engine->state() != resolve::ResolverCore::State::kNormal ||
         (active_dyn.avoidance != nullptr && !active_dyn.avoidance->idle())) {
@@ -93,25 +92,14 @@ bool Participant::enter(ActionInstanceId instance, EnterConfig config) {
                 "counts)");
   CAA_CHECK_MSG(config.resolver_committee >= 1,
                 "enter(): resolver committee needs at least one member");
-  if (!config.abortion_handler) {
-    config.abortion_handler = [] { return ex::AbortResult::none(); };
-  }
   if (config.save_checkpoint) config.save_checkpoint();
 
-  auto [it, inserted] = dyn_.emplace(instance, Dyn{});
-  CAA_CHECK_MSG(inserted, "enter(): re-entering an instance");
-  Dyn& dyn = it->second;
+  CAA_CHECK_MSG(find_dyn(instance) == nullptr,
+                "enter(): re-entering an instance");
+  Dyn& dyn = *stack_.emplace_back(std::make_unique<Dyn>());
   dyn.info = &info;
   dyn.config = std::move(config);
   dyn.excluded = &exclusions_of(info);
-
-  ex::Context context;
-  context.instance = instance;
-  context.action = info.decl->id();
-  context.tree = &info.decl->tree();
-  context.handlers = &dyn.config.handlers;
-  context.abortion_handler = dyn.config.abortion_handler;
-  contexts_.push(std::move(context));
 
   // Tree-mode scope: join the relay overlay before any message can flow, so
   // this member relays (and delivers) from the first envelope on.
@@ -132,7 +120,8 @@ bool Participant::enter(ActionInstanceId instance, EnterConfig config) {
 
   release_held(instance);  // §4.2 "process messages having arrived"
 
-  if (dyn_.contains(instance) && dyn_.at(instance).config.body) {
+  if (const Dyn* still = find_dyn(instance);
+      still != nullptr && still->config.body) {
     run_guarded(instance, 0, [this, instance] {
       Dyn* d = find_dyn(instance);
       if (d != nullptr && d->config.body) d->config.body(d->attempt);
@@ -143,7 +132,7 @@ bool Participant::enter(ActionInstanceId instance, EnterConfig config) {
 
 void Participant::raise(ExceptionId exception, std::string message) {
   CAA_CHECK_MSG(in_action(), "raise(): not inside a CA action");
-  Dyn& dyn = dyn_.at(contexts_.active().instance);
+  Dyn& dyn = *stack_.back();
   if (dyn.aborting || dyn.done_sent || dyn.handling ||
       dyn.engine->state() != resolve::ResolverCore::State::kNormal) {
     // Superseded: a resolution or handler is in progress, or this
@@ -160,7 +149,7 @@ void Participant::raise(ExceptionId exception, std::string message) {
     return;
   }
   dyn.raise_time = now();
-  const ActionInstanceId scope = contexts_.active().instance;
+  const ActionInstanceId scope = dyn.info->instance;
   wd_progress(scope);
   if (dyn.info->resolve_avoidance &&
       ensure_avoidance(dyn, scope)
@@ -172,16 +161,14 @@ void Participant::raise(ExceptionId exception, std::string message) {
 
 void Participant::raise(std::string_view exception_name, std::string message) {
   CAA_CHECK_MSG(in_action(), "raise(): not inside a CA action");
-  const ex::ExceptionTree& tree = *contexts_.active().tree;
-  const ExceptionId e = tree.find(exception_name);
+  const ExceptionId e = stack_.back()->info->decl->tree().find(exception_name);
   CAA_CHECK_MSG(e.valid(), "raise(): exception name not declared");
   raise(e, std::move(message));
 }
 
 void Participant::complete(bool acceptance_ok) {
   CAA_CHECK_MSG(in_action(), "complete(): not inside a CA action");
-  const ActionInstanceId scope = contexts_.active().instance;
-  Dyn& dyn = dyn_.at(scope);
+  Dyn& dyn = *stack_.back();
   if (dyn.aborting || dyn.done_sent || dyn.handling ||
       dyn.engine->state() != resolve::ResolverCore::State::kNormal ||
       (dyn.avoidance != nullptr && dyn.avoidance->raise_pending())) {
@@ -192,34 +179,34 @@ void Participant::complete(bool acceptance_ok) {
     runtime().simulator().counters().add(kCounterCompleteSuperseded);
     return;
   }
-  complete_internal(scope, acceptance_ok, ExceptionId::invalid());
+  complete_internal(dyn.info->instance, acceptance_ok, ExceptionId::invalid());
 }
 
 ActionInstanceId Participant::active_instance() const {
   CAA_CHECK(in_action());
-  return contexts_.active().instance;
+  return stack_.back()->info->instance;
 }
 
 resolve::ResolverCore::State Participant::resolver_state() const {
   CAA_CHECK(in_action());
-  return dyn_.at(contexts_.active().instance).engine->state();
+  return stack_.back()->engine->state();
 }
 
 bool Participant::at_acceptance_line() const {
   CAA_CHECK(in_action());
-  return dyn_.at(contexts_.active().instance).done_sent;
+  return stack_.back()->done_sent;
 }
 
 std::uint32_t Participant::round_of(ActionInstanceId instance) const {
-  auto it = dyn_.find(instance);
-  CAA_CHECK_MSG(it != dyn_.end(), "round_of(): not entered");
-  return it->second.round;
+  const Dyn* dyn = find_dyn(instance);
+  CAA_CHECK_MSG(dyn != nullptr, "round_of(): not entered");
+  return dyn->round;
 }
 
 std::uint32_t Participant::attempt_of(ActionInstanceId instance) const {
-  auto it = dyn_.find(instance);
-  CAA_CHECK_MSG(it != dyn_.end(), "attempt_of(): not entered");
-  return it->second.attempt;
+  const Dyn* dyn = find_dyn(instance);
+  CAA_CHECK_MSG(dyn != nullptr, "attempt_of(): not entered");
+  return dyn->attempt;
 }
 
 // ---------------------------------------------------------------------------
@@ -391,7 +378,7 @@ void Participant::deliver_to_engine(Dyn& dyn, net::MsgKind kind,
   const bool trigger =
       kind != net::MsgKind::kAck &&
       engine.state() == resolve::ResolverCore::State::kNormal &&
-      !(in_action() && contexts_.active().instance == dyn.info->instance);
+      !is_active(dyn.info->instance);
   CAA_CHECK_MSG(!trigger || kind == net::MsgKind::kException ||
                     kind == net::MsgKind::kHaveNested,
                 "protocol violation: a NestedCompleted or a Commit cannot be "
@@ -407,7 +394,7 @@ void Participant::deliver_to_engine(Dyn& dyn, net::MsgKind kind,
 
 void Participant::hold(ActionInstanceId scope, RawMsg msg) {
   // First contact with a scope not entered starts its exclusion set.
-  if (!dyn_.contains(scope) && manager_.known(scope)) {
+  if (find_dyn(scope) == nullptr && manager_.known(scope)) {
     exclusions_of(manager_.info(scope));
   }
   held_[scope].push_back(std::move(msg));
@@ -426,7 +413,7 @@ void Participant::purge_held_from(ObjectId peer) {
   // its nested actions, so what it sent for actions we never entered is
   // void. An entered scope's held messages wait for a later round instead.
   for (auto& [scope, msgs] : held_) {
-    if (dyn_.contains(scope)) continue;
+    if (find_dyn(scope) != nullptr) continue;
     std::erase_if(msgs, [peer](const RawMsg& m) { return m.from == peer; });
   }
 }
@@ -472,7 +459,7 @@ resolve::AvoidanceCoordinator& Participant::ensure_avoidance(
     if (!d->excluded->empty()) return false;
     // The scope must be this participant's active context: a nested child
     // in flight needs the HaveNested/abortion machinery the census skips.
-    if (!in_action() || contexts_.active().instance != scope) return false;
+    if (!is_active(scope)) return false;
     return d->engine->state() == resolve::ResolverCore::State::kNormal;
   };
   hooks.apply_fast_commit = [this, scope](const resolve::CommitMsg& m) {
@@ -691,20 +678,17 @@ void Participant::invoke_handler(ActionInstanceId scope, ExceptionId resolved,
 
 void Participant::abort_chain_until(ActionInstanceId scope,
                                     std::function<void(ExceptionId)> done) {
-  const auto target_depth = contexts_.depth_of(scope);
-  CAA_CHECK_MSG(target_depth.has_value(), "abort target not in stack");
+  const std::size_t target_depth = depth_of(scope);
   // Mark everything strictly below the target as aborting: their
   // resolutions are superseded (§3.3 point 4).
-  for (std::size_t depth = *target_depth + 1; depth < contexts_.size();
-       ++depth) {
-    dyn_.at(contexts_.at(depth).instance).aborting = true;
+  for (std::size_t depth = target_depth + 1; depth < stack_.size(); ++depth) {
+    stack_[depth]->aborting = true;
   }
   if (abort_chain_.has_value()) {
     // An even more deeply scoped abortion was in progress; the new (outer)
     // resolution supersedes it. Retarget: the old target's NestedCompleted
     // will never be sent — its whole action is aborted instead.
-    CAA_CHECK_MSG(*target_depth <
-                      contexts_.depth_of(abort_chain_->target).value(),
+    CAA_CHECK_MSG(target_depth < depth_of(abort_chain_->target),
                   "abort retarget must be an outer action");
     abort_chain_->target = scope;
     abort_chain_->done = std::move(done);
@@ -717,17 +701,15 @@ void Participant::abort_chain_until(ActionInstanceId scope,
 void Participant::abort_step() {
   CAA_CHECK(abort_chain_.has_value());
   CAA_CHECK(in_action());
-  const ex::Context& ctx = contexts_.active();
-  CAA_CHECK_MSG(ctx.instance != abort_chain_->target,
-                "abort_step past target");
+  const ex::AbortionHandler& handler = stack_.back()->config.abortion_handler;
+  const ActionInstanceId instance = stack_.back()->info->instance;
+  CAA_CHECK_MSG(instance != abort_chain_->target, "abort_step past target");
   // Run this nested action's abortion handler (§4.1: abortion handlers run
   // innermost-first; only they may run in an aborted action).
-  const ex::AbortResult result =
-      ctx.abortion_handler ? ctx.abortion_handler() : ex::AbortResult::none();
-  record_lifecycle(obs::RecType::kAbortHandler, ctx.instance, 0,
+  const ex::AbortResult result = handler ? handler() : ex::AbortResult::none();
+  record_lifecycle(obs::RecType::kAbortHandler, instance, 0,
                    result.signal.value());
-  schedule_after(result.duration,
-                 [this, instance = ctx.instance, signal = result.signal] {
+  schedule_after(result.duration, [this, instance, signal = result.signal] {
     Dyn* dyn = find_dyn(instance);
     // A node restart may have abandoned this context (on_restarted) between
     // the abortion handler and this continuation; the chain is void then.
@@ -741,9 +723,9 @@ void Participant::abort_step() {
                                instance.value(), 0,
                                signal.valid() ? signal.value() : 0);
     }
-    pop_context(instance, /*dead=*/true);
+    pop_context(instance);
     if (!abort_chain_.has_value()) return;  // defensive; should not happen
-    if (in_action() && contexts_.active().instance == abort_chain_->target) {
+    if (is_active(abort_chain_->target)) {
       // Only the exception signalled by the abortion handlers of the
       // *directly* nested action may be raised in the container (§4.1).
       auto done = std::move(abort_chain_->done);
@@ -819,8 +801,7 @@ void Participant::apply_leave(const LeaveMsg& m) {
     runtime().simulator().counters().add(kCounterDeadScopeDropped);
     return;
   }
-  CAA_CHECK_MSG(in_action() && contexts_.active().instance == m.scope,
-                "Leave for a non-active context");
+  CAA_CHECK_MSG(is_active(m.scope), "Leave for a non-active context");
   wd_progress(m.scope);
   record_lifecycle(obs::RecType::kLeave, m.scope, m.round,
                    static_cast<std::uint32_t>(m.outcome), m.attempt);
@@ -834,7 +815,7 @@ void Participant::apply_leave(const LeaveMsg& m) {
         dyn->config.on_leave(m.outcome, ExceptionId::invalid());
       }
       record_leave(*dyn, m);
-      pop_context(m.scope, /*dead=*/true);
+      pop_context(m.scope);
       return;
     }
     case LeaveOutcome::kSignalled: {
@@ -842,7 +823,7 @@ void Participant::apply_leave(const LeaveMsg& m) {
       if (dyn->config.on_leave) dyn->config.on_leave(m.outcome, m.signal);
       const ActionInstanceId parent = info.parent;
       record_leave(*dyn, m);
-      pop_context(m.scope, /*dead=*/true);
+      pop_context(m.scope);
       if (!leader) return;
       if (parent.valid() && m.signal.valid()) {
         // The leader represents the completed-with-failure nested action by
@@ -904,18 +885,17 @@ void Participant::record_leave(const Dyn& dyn, const LeaveMsg& m) {
   }
 }
 
-void Participant::pop_context(ActionInstanceId scope, bool dead) {
-  CAA_CHECK(in_action() && contexts_.active().instance == scope);
-  if (Dyn* dyn = find_dyn(scope); dyn != nullptr && dyn->exit != nullptr) {
+void Participant::pop_context(ActionInstanceId scope) {
+  CAA_CHECK(is_active(scope));
+  if (stack_.back()->exit != nullptr) {
     // The decide path ends inside the protocol (exit_deliver_leave -> here),
     // so its frames may still be on the stack: retire, don't destroy. The
     // graveyard is swept at the next quiet entry into this participant.
-    retired_exits_.push_back(std::move(dyn->exit));
+    retired_exits_.push_back(std::move(stack_.back()->exit));
   }
-  contexts_.pop();
-  dyn_.erase(scope);
+  stack_.pop_back();
   if (!overlay_.manages(scope)) exclusions_.erase(scope);
-  if (dead) dead_.insert(scope);
+  dead_.insert(scope);
   held_.erase(scope);
   sync_caa_health();
   wd_closed(scope);
@@ -951,21 +931,36 @@ ObjectId Participant::live_leader(const Dyn& dyn) const {
   return exit::live_leader(*dyn.info, *dyn.excluded);
 }
 
-Participant::Dyn* Participant::find_dyn(ActionInstanceId scope) {
-  auto it = dyn_.find(scope);
-  return it == dyn_.end() ? nullptr : &it->second;
+Participant::Dyn* Participant::find_dyn(ActionInstanceId scope) const {
+  for (auto it = stack_.rbegin(); it != stack_.rend(); ++it) {
+    if ((*it)->info->instance == scope) return it->get();
+  }
+  return nullptr;
 }
 
 const Participant::Dyn& Participant::dyn_of(ActionInstanceId scope) const {
-  auto it = dyn_.find(scope);
-  CAA_CHECK_MSG(it != dyn_.end(), "exit host: scope not open here");
-  return it->second;
+  const Dyn* dyn = find_dyn(scope);
+  CAA_CHECK_MSG(dyn != nullptr, "exit host: scope not open here");
+  return *dyn;
+}
+
+bool Participant::is_active(ActionInstanceId scope) const {
+  return in_action() && stack_.back()->info->instance == scope;
+}
+
+std::size_t Participant::depth_of(ActionInstanceId scope) const {
+  std::size_t depth = 0;
+  while (depth < stack_.size() && stack_[depth]->info->instance != scope) {
+    ++depth;
+  }
+  CAA_CHECK_MSG(depth < stack_.size(), "abort target not in stack");
+  return depth;
 }
 
 const exit::ExitProtocol* Participant::exit_protocol_of(
     ActionInstanceId scope) const {
-  auto it = dyn_.find(scope);
-  return it == dyn_.end() ? nullptr : it->second.exit.get();
+  const Dyn* dyn = find_dyn(scope);
+  return dyn == nullptr ? nullptr : dyn->exit.get();
 }
 
 // ---------------------------------------------------------------------------
@@ -1085,10 +1080,9 @@ void Participant::notify_peer_crashed(ObjectId peer) {
   purge_held_from(peer);
   // Open scopes that lose the peer, outermost first, with pre-crash leaders.
   std::vector<std::pair<ActionInstanceId, ObjectId>> losing;
-  for (std::size_t depth = 0; depth < contexts_.size(); ++depth) {
-    const Dyn& dyn = dyn_.at(contexts_.at(depth).instance);
-    if (dyn.info->is_member(peer) && !dyn.excluded->contains(peer)) {
-      losing.emplace_back(contexts_.at(depth).instance, live_leader(dyn));
+  for (const auto& dyn : stack_) {
+    if (dyn->info->is_member(peer) && !dyn->excluded->contains(peer)) {
+      losing.emplace_back(dyn->info->instance, live_leader(*dyn));
     }
   }
   // Heal the relay trees before any scope reacts: the re-announcements below
@@ -1099,7 +1093,9 @@ void Participant::notify_peer_crashed(ObjectId peer) {
     }
   }
   for (const auto& [instance, old_leader] : losing) {
-    Dyn& dyn = dyn_.at(instance);
+    Dyn* found = find_dyn(instance);
+    CAA_CHECK(found != nullptr);
+    Dyn& dyn = *found;
     // Avoidance first: any census aborts and suppressed raises replay into
     // the engine NOW, so the CrashSync barrier and the exit protocol's
     // decide re-evaluation below see settled (engine-held) state.
@@ -1128,8 +1124,7 @@ void Participant::notify_peer_crashed(ObjectId peer) {
   // Forward recovery among survivors: raise the configured crash exception
   // if this participant is still working in its active action.
   if (!in_action()) return;
-  const ActionInstanceId active = contexts_.active().instance;
-  Dyn& adyn = dyn_.at(active);
+  Dyn& adyn = *stack_.back();
   if (adyn.config.crash_exception.valid() && adyn.info->is_member(peer) &&
       !adyn.aborting && !adyn.done_sent && !adyn.handling &&
       adyn.engine->state() == resolve::ResolverCore::State::kNormal) {
@@ -1147,7 +1142,7 @@ void Participant::notify_peer_crashed(ObjectId peer) {
     // While kAborting the raiser set is not even knowable yet; the
     // re-check runs when the abortion completes.
     adyn.promote_pending = true;
-    maybe_promote(active);
+    maybe_promote(adyn.info->instance);
   }
 }
 
@@ -1155,14 +1150,11 @@ void Participant::maybe_promote(ActionInstanceId scope) {
   Dyn* dyn = find_dyn(scope);
   if (dyn == nullptr || !dyn->promote_pending) return;
   if (!dyn->sync_waiting.empty()) return;  // barrier still draining
-  if (dyn->aborting || !in_action() || contexts_.active().instance != scope ||
+  if (dyn->aborting || !is_active(scope) ||
       dyn->engine->state() == resolve::ResolverCore::State::kAborting) {
     // Not decidable yet (abortion running) or no longer applicable; a
     // dead/aborting context clears the flag for good.
-    if (dyn->aborting || !in_action() ||
-        contexts_.active().instance != scope) {
-      dyn->promote_pending = false;
-    }
+    if (dyn->aborting || !is_active(scope)) dyn->promote_pending = false;
     return;
   }
   dyn->promote_pending = false;
@@ -1204,10 +1196,7 @@ void Participant::begin_crash_sync(ActionInstanceId scope, Dyn& dyn,
                                    ObjectId crashed) {
   std::vector<ObjectId> live;
   for (ObjectId member : dyn.info->members) {
-    if (member == id() || crashed_.contains(member) ||
-        dyn.excluded->contains(member)) {
-      continue;
-    }
+    if (member == id() || dyn.excluded->contains(member)) continue;
     live.push_back(member);
     dyn.sync_waiting.insert(member);
   }
@@ -1275,7 +1264,7 @@ void Participant::on_crash_sync(ObjectId from, const net::Bytes& payload) {
   }
   if (m.phase == resolve::CrashSyncMsg::Phase::kPush) {
     // Re-find: applying a commit can finish the round and, via zero-delay
-    // continuations, never invalidates dyn_, but stay defensive about the
+    // continuations, never pops the scope, but stay defensive about the
     // reply's snapshot.
     Dyn* current = find_dyn(m.scope);
     if (current != nullptr) {
@@ -1309,14 +1298,14 @@ void Participant::on_restarted() {
   retired_exits_.clear();  // no exit-protocol frames on the stack here
   obs::FlightRecorder& recorder = runtime().simulator().obs().recorder();
   while (in_action()) {
-    const ActionInstanceId scope = contexts_.active().instance;
+    const ActionInstanceId scope = stack_.back()->info->instance;
     abandoned_.insert(scope);
     runtime().simulator().counters().add(kCounterRestartAbandoned);
     if (recorder.enabled()) {
       recorder.record_protocol(obs::RecType::kAbort, id().value(),
                                scope.value(), 0, 0);
     }
-    pop_context(scope, /*dead=*/true);
+    pop_context(scope);
   }
   held_.clear();
   // Relay caches and squelch state are volatile too: the healed survivor
@@ -1329,8 +1318,8 @@ void Participant::on_restarted() {
 }
 
 bool Participant::is_live(ActionInstanceId scope) const {
-  auto it = dyn_.find(scope);
-  return it != dyn_.end() && !it->second.aborting;
+  const Dyn* dyn = find_dyn(scope);
+  return dyn != nullptr && !dyn->aborting;
 }
 
 void Participant::run_guarded(ActionInstanceId scope, sim::Time delay,
@@ -1363,14 +1352,14 @@ void Participant::record_lifecycle(obs::RecType type, ActionInstanceId scope,
 void Participant::sync_caa_health() {
   if (!attached()) return;
   obs::HealthGauges& h = runtime().simulator().obs().health();
-  const auto scopes = static_cast<std::int64_t>(dyn_.size());
+  const auto scopes = static_cast<std::int64_t>(stack_.size());
   std::int64_t barrier = 0;
   std::int64_t paxos = 0;
-  for (const auto& [scope, dyn] : dyn_) {
+  for (const auto& dyn : stack_) {
     // "Exit occupancy": this member sent its Done and the scope has not
     // left yet — the window where the committee protocol is in charge.
-    if (!dyn.done_sent || dyn.exit == nullptr) continue;
-    if (dyn.exit->kind() == exit::ExitKind::kPaxos) {
+    if (!dyn->done_sent || dyn->exit == nullptr) continue;
+    if (dyn->exit->kind() == exit::ExitKind::kPaxos) {
       ++paxos;
     } else {
       ++barrier;
@@ -1380,8 +1369,7 @@ void Participant::sync_caa_health() {
     h.add(obs::Gauge::kCaaOpenScopes, scopes - scopes_gauge_);
     scopes_gauge_ = scopes;
   }
-  h.set_max(obs::Gauge::kCaaNestingDepth,
-            static_cast<std::int64_t>(contexts_.size()));
+  h.set_max(obs::Gauge::kCaaNestingDepth, scopes);
   if (barrier != exit_barrier_gauge_) {
     h.add(obs::Gauge::kExitBarrierOpen, barrier - exit_barrier_gauge_);
     exit_barrier_gauge_ = barrier;
@@ -1412,15 +1400,15 @@ void Participant::wd_closed(ActionInstanceId scope) {
 
 void Participant::wd_release_open_scopes() {
   if (wd_released_) return;
-  for (const auto& [scope, dyn] : dyn_) wd_closed(scope);
+  for (const auto& dyn : stack_) wd_closed(dyn->info->instance);
   wd_released_ = true;
 }
 
 bool Participant::describe_scope(ActionInstanceId scope,
                                  obs::WatchdogReport& report) const {
-  auto it = dyn_.find(scope);
-  if (it == dyn_.end()) return false;
-  const Dyn& dyn = it->second;
+  const Dyn* found = find_dyn(scope);
+  if (found == nullptr) return false;
+  const Dyn& dyn = *found;
   report.scope_name = dyn.info->decl->name();
   std::vector<ObjectId> awaited;
   if (dyn.aborting) {

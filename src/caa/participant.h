@@ -8,8 +8,8 @@
 // barrier.
 //
 // Implementation notes relative to the paper's pseudo-code:
-//  * SA_i is `contexts_` (an ex::ContextStack); LE/LO/LP live inside one
-//    resolve::ResolverCore per context per resolution round.
+//  * SA_i is `stack_`, one record per entered scope; LE/LO/LP live inside
+//    one resolve::ResolverCore per scope per resolution round.
 //  * Rounds: the paper's "wait until all exception messages are handled" and
 //    list-emptying are made precise by tagging every protocol message with a
 //    round number. Stale-round Exception/NestedCompleted messages are still
@@ -31,7 +31,6 @@
 //    and relay tree read it; notify_peer_crashed alone writes it.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -40,7 +39,7 @@
 #include <vector>
 
 #include "caa/action_manager.h"
-#include "ex/context_stack.h"
+#include "ex/handler_table.h"
 #include "exit/exit_protocol.h"
 #include "exit/leave_log.h"
 #include "obs/watchdog.h"
@@ -58,7 +57,7 @@ struct EnterConfig {
   /// Use uniform_handlers() or HandlerTable::fill_defaults() to build.
   ex::HandlerTable handlers;
 
-  /// Abortion handler (§4.1). Default: succeeds instantly, signals nothing.
+  /// Abortion handler (§4.1). Empty: succeeds instantly, signals nothing.
   ex::AbortionHandler abortion_handler;
 
   /// Optional body, run (via a zero-delay event) on entry and again on each
@@ -276,9 +275,9 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
 
   // ---- Introspection ----------------------------------------------------
 
-  [[nodiscard]] bool in_action() const { return !contexts_.empty(); }
+  [[nodiscard]] bool in_action() const { return !stack_.empty(); }
   [[nodiscard]] ActionInstanceId active_instance() const;
-  [[nodiscard]] std::size_t nesting_depth() const { return contexts_.size(); }
+  [[nodiscard]] std::size_t nesting_depth() const { return stack_.size(); }
   [[nodiscard]] resolve::ResolverCore::State resolver_state() const;
 
   /// True when this participant has finished its part of the active action
@@ -381,7 +380,8 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
     net::Bytes payload;
   };
 
-  /// Dynamic per-context state (the static part lives in ex::Context).
+  /// One entered scope: an entry of SA_i (§4.1), from enter() until the
+  /// scope is left, aborted or abandoned.
   struct Dyn {
     const InstanceInfo* info = nullptr;
     EnterConfig config;
@@ -486,7 +486,7 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   void complete_internal(ActionInstanceId scope, bool ok, ExceptionId signal);
   void apply_leave(const LeaveMsg& m);
   void record_leave(const Dyn& dyn, const LeaveMsg& m);
-  void pop_context(ActionInstanceId scope, bool dead);
+  void pop_context(ActionInstanceId scope);
 
   // ---- exit::ExitHost (the seam the exit protocols talk back through) ----
   [[nodiscard]] ObjectId exit_self() const override;
@@ -520,8 +520,13 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   [[nodiscard]] std::unique_ptr<resolve::ResolverCore> make_engine(
       Dyn& dyn, ActionInstanceId scope);
   [[nodiscard]] ObjectId live_leader(const Dyn& dyn) const;
-  [[nodiscard]] Dyn* find_dyn(ActionInstanceId scope);
+  /// The scope's record, or nullptr when it is not entered here.
+  [[nodiscard]] Dyn* find_dyn(ActionInstanceId scope) const;
   [[nodiscard]] const Dyn& dyn_of(ActionInstanceId scope) const;
+  /// True when `scope` is this participant's active (innermost) action.
+  [[nodiscard]] bool is_active(ActionInstanceId scope) const;
+  /// Index of `scope` in stack_; the scope must be entered.
+  [[nodiscard]] std::size_t depth_of(ActionInstanceId scope) const;
   [[nodiscard]] bool is_live(ActionInstanceId scope) const;
   void run_guarded(ActionInstanceId scope, sim::Time delay,
                    std::function<void()> fn);
@@ -545,11 +550,12 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   void wd_closed(ActionInstanceId scope);
 
   ActionManager& manager_;
-  ex::ContextStack contexts_;
   // Per-scope exclusion sets, declared before their readers. A flat scope's
   // goes with its context, a tree scope's when the overlay drops the scope.
   std::map<ActionInstanceId, std::set<ObjectId>> exclusions_;
-  std::map<ActionInstanceId, Dyn> dyn_;
+  // SA_i, outermost first. Boxed: a nested entry runs inside the outer
+  // record's body callback, so no record may move when another is pushed.
+  std::vector<std::unique_ptr<Dyn>> stack_;
   // Messages classify() held: for a scope not entered yet, or for a round
   // the entered scope has not reached.
   std::map<ActionInstanceId, std::vector<RawMsg>> held_;

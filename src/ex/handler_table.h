@@ -1,4 +1,5 @@
-// Per-participant exception handler tables.
+// Per-participant exception handler tables, and the abortion handler
+// result (§4.1) that mirrors HandlerResult.
 //
 // §3.3: unlike the CR scheme, our model requires every participating object
 // to provide handlers for *all* exceptions declared in an action — this is
@@ -38,6 +39,23 @@ struct HandlerResult {
 
 /// A handler body: receives the resolved exception it is being invoked for.
 using Handler = std::function<HandlerResult(ExceptionId resolved)>;
+
+/// Result of running an abortion handler: optionally signals one exception
+/// to the containing action (§4.1 allows at most one, and only from the
+/// directly nested action).
+struct AbortResult {
+  ExceptionId signal;      // invalid => nothing signalled
+  sim::Time duration = 0;  // simulated execution time
+
+  static AbortResult none(sim::Time duration = 0) {
+    return AbortResult{ExceptionId::invalid(), duration};
+  }
+  static AbortResult signalling(ExceptionId e, sim::Time duration = 0) {
+    return AbortResult{e, duration};
+  }
+};
+
+using AbortionHandler = std::function<AbortResult()>;
 
 class HandlerTable {
  public:

@@ -6,31 +6,6 @@
 #include "net/message.h"
 
 namespace caa::fault {
-namespace {
-
-// Every kind the network accounts for; conservation is checked per kind.
-constexpr net::MsgKind kAllKinds[] = {
-    net::MsgKind::kTransportAck,    net::MsgKind::kException,
-    net::MsgKind::kHaveNested,      net::MsgKind::kNestedCompleted,
-    net::MsgKind::kAck,             net::MsgKind::kCommit,
-    net::MsgKind::kFastCover,       net::MsgKind::kCrashSync,
-    net::MsgKind::kCrRaise,         net::MsgKind::kCrCommit,
-    net::MsgKind::kCrAck,           net::MsgKind::kArcheReport,
-    net::MsgKind::kArcheConcerted,  net::MsgKind::kCentralException,
-    net::MsgKind::kCentralFreeze,   net::MsgKind::kCentralFrozenAck,
-    net::MsgKind::kCentralCommit,   net::MsgKind::kActionJoin,
-    net::MsgKind::kActionJoinAck,   net::MsgKind::kActionDone,
-    net::MsgKind::kActionLeave,     net::MsgKind::kActionAborted,
-    net::MsgKind::kActionLeaveAck,  net::MsgKind::kPaxosPrepare,
-    net::MsgKind::kPaxosPromise,    net::MsgKind::kPaxosVote,
-    net::MsgKind::kPaxosAccepted,
-    net::MsgKind::kTxnOpRequest,    net::MsgKind::kTxnOpReply,
-    net::MsgKind::kTxnPrepare,      net::MsgKind::kTxnVote,
-    net::MsgKind::kTxnDecision,     net::MsgKind::kTxnDecisionAck,
-    net::MsgKind::kHeartbeat,       net::MsgKind::kAppData,
-};
-
-}  // namespace
 
 std::string OracleReport::summary() const {
   std::string out;
@@ -89,9 +64,9 @@ OracleReport check_invariants(World& world, const OracleOptions& options) {
     }
   }
 
-  // Packet conservation per kind.
+  // Packet conservation per kind, relay envelopes included.
   const obs::Metrics& metrics = world.metrics();
-  for (const net::MsgKind kind : kAllKinds) {
+  for (const net::MsgKind kind : net::all_kinds()) {
     const net::KindCounters& kc = net::kind_counters(kind);
     const std::int64_t sent = metrics.value(kc.sent);
     const std::int64_t duplicated = metrics.value(kc.duplicated);

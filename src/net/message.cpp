@@ -28,11 +28,8 @@ std::string_view kind_name(MsgKind kind) {
     case MsgKind::kCentralCommit: return "CentralCommit";
     case MsgKind::kCrashSync: return "CrashSync";
     case MsgKind::kRelay: return "Relay";
-    case MsgKind::kActionJoin: return "ActionJoin";
-    case MsgKind::kActionJoinAck: return "ActionJoinAck";
     case MsgKind::kActionDone: return "ActionDone";
     case MsgKind::kActionLeave: return "ActionLeave";
-    case MsgKind::kActionAborted: return "ActionAborted";
     case MsgKind::kActionLeaveAck: return "ActionLeaveAck";
     case MsgKind::kPaxosPrepare: return "PaxosPrepare";
     case MsgKind::kPaxosPromise: return "PaxosPromise";
@@ -63,8 +60,16 @@ bool is_resolution_kind(MsgKind kind) {
   }
 }
 
-bool is_transport_kind(MsgKind kind) {
-  return kind == MsgKind::kTransportAck;
+const std::vector<MsgKind>& all_kinds() {
+  static const std::vector<MsgKind> kinds = [] {
+    std::vector<MsgKind> out;
+    for (int i = 1; i <= static_cast<int>(MsgKind::kAppData); ++i) {
+      const auto kind = static_cast<MsgKind>(i);
+      if (kind_name(kind) != "Unknown") out.push_back(kind);
+    }
+    return out;
+  }();
+  return kinds;
 }
 
 const KindCounters& kind_counters(MsgKind kind) {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "net/wire.h"
 #include "util/counters.h"
@@ -69,12 +70,9 @@ enum class MsgKind : std::uint16_t {
   // kind so flat-vs-tree physical message costs are directly comparable.
   kRelay = 160,
 
-  // CA action management (entry/exit synchronization).
-  kActionJoin = 200,
-  kActionJoinAck = 201,
+  // CA action management (exit synchronization).
   kActionDone = 202,
   kActionLeave = 203,
-  kActionAborted = 204,
   // "I applied this scope's final Leave" — drives the leave-record GC
   // (src/exit/leave_log.h). Only sent when WorldConfig.exit_gc is on.
   kActionLeaveAck = 205,
@@ -108,8 +106,9 @@ enum class MsgKind : std::uint16_t {
 /// benches count exactly these to reproduce §4.4.
 [[nodiscard]] bool is_resolution_kind(MsgKind kind);
 
-/// True for transport-internal control traffic.
-[[nodiscard]] bool is_transport_kind(MsgKind kind);
+/// Every kind above, kInvalid excluded, in enum order: the kinds with a
+/// kind_name(), whose switch -Wswitch keeps complete.
+[[nodiscard]] const std::vector<MsgKind>& all_kinds();
 
 /// Interned counter handles for one message kind's accounting
 /// ("net.sent.<Kind>" etc.). Resolved once per kind per process, so the

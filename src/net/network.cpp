@@ -248,7 +248,6 @@ void Network::deliver(Packet&& packet) {
   CAA_CHECK_MSG(static_cast<bool>(dst->handler),
                 "deliver: node has no endpoint");
   count(kc.delivered);
-  ++delivered_total_;
   // Everything the handler does — records it pushes, packets it sends,
   // events it schedules — descends from this delivery in the causal DAG.
   std::uint64_t saved_cause = 0;

@@ -115,11 +115,6 @@ class Network {
 
   [[nodiscard]] sim::Simulator& simulator() { return simulator_; }
 
-  /// Total packets delivered since construction (all kinds).
-  [[nodiscard]] std::int64_t delivered_total() const {
-    return delivered_total_;
-  }
-
  private:
   struct NodeState {
     Handler handler;
@@ -154,7 +149,6 @@ class Network {
   // created channels still get their deterministic per-pair RNG seed.
   std::vector<std::vector<ChannelState>> channels_;
   std::vector<std::vector<bool>> channels_init_;
-  std::int64_t delivered_total_ = 0;
   // Managed-mode in-flight buffer (empty and untouched in sampled mode).
   struct Parked {
     std::uint64_t id;

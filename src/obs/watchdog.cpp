@@ -103,7 +103,6 @@ void Watchdog::diagnose(std::uint64_t scope, sim::Time last_progress,
       }
     }
   }
-  if (hook_) hook_(report);
   reports_.push_back(std::move(report));
 }
 

@@ -50,8 +50,6 @@ class Watchdog {
   /// Fills phase / awaited / detail / scope_name for a stuck scope. The
   /// World installs one that interrogates its participants.
   using Describer = std::function<void(std::uint64_t scope, WatchdogReport&)>;
-  /// Fired on every diagnosis as it happens — the chaos oracle hook.
-  using ReportHook = std::function<void(const WatchdogReport&)>;
 
   /// Points the watchdog at the hub's recorder for causal tails.
   void bind(const FlightRecorder* recorder) { recorder_ = recorder; }
@@ -60,7 +58,6 @@ class Watchdog {
   /// ticks is diagnosed. Disarmed (and note_* free) under
   /// -DCAA_OBS_DISABLED.
   void arm(sim::Time deadline, Describer describer);
-  void set_report_hook(ReportHook hook) { hook_ = std::move(hook); }
 
   [[nodiscard]] bool armed() const {
 #ifdef CAA_OBS_DISABLED
@@ -129,7 +126,6 @@ class Watchdog {
   const FlightRecorder* recorder_ = nullptr;
   sim::Time deadline_ = 0;
   Describer describer_;
-  ReportHook hook_;
   /// Open scopes and their progress state.
   std::map<std::uint64_t, Entry> scopes_;
   /// Scopes already diagnosed (each reports once).

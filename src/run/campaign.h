@@ -104,7 +104,7 @@ struct CampaignOptions {
   /// `<dump_dir>/world<index>_seed<hex>.caafr`, decodable by caa-inspect;
   /// the path lands in WorldResult::recorder_dump_path and the failure
   /// report. The directory must exist.
-  std::string dump_dir;
+  std::string dump_dir = {};
 };
 
 struct CampaignResult {

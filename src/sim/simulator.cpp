@@ -4,10 +4,7 @@
 
 namespace caa::sim {
 
-Simulator::Simulator() {
-  logger_.set_time_source([this] { return now_; });
-  obs_.bind_clock(&now_);
-}
+Simulator::Simulator() { obs_.bind_clock(&now_); }
 
 EventId Simulator::schedule_after(Time delay, EventFn fn) {
   CAA_CHECK_MSG(delay >= 0, "negative delay");

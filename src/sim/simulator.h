@@ -11,7 +11,6 @@
 #include "obs/obs.h"
 #include "sim/event_queue.h"
 #include "util/counters.h"
-#include "util/log.h"
 
 namespace caa::sim {
 
@@ -71,14 +70,10 @@ class Simulator {
   Counters& counters() { return obs_.metrics().counters(); }
   const Counters& counters() const { return obs_.metrics().counters(); }
 
-  /// Logger wired to the virtual clock.
-  Logger& logger() { return logger_; }
-
  private:
   Time now_ = 0;
   EventQueue queue_;
   obs::Observability obs_;
-  Logger logger_;
 };
 
 }  // namespace caa::sim

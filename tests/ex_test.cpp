@@ -1,8 +1,7 @@
 // Unit tests for the exception model: trees (declaration, covering,
-// resolution/LCA), handler tables and nested context stacks.
+// resolution/LCA) and handler tables.
 #include <gtest/gtest.h>
 
-#include "ex/context_stack.h"
 #include "ex/exception.h"
 #include "ex/exception_tree.h"
 #include "ex/handler_table.h"
@@ -279,35 +278,6 @@ TEST(ExceptionValue, DescribeFormats) {
   EXPECT_NE(d.find("s1"), std::string::npos);
   EXPECT_NE(d.find("O3"), std::string::npos);
   EXPECT_NE(d.find("boom"), std::string::npos);
-}
-
-TEST(ContextStack, PushPopActive) {
-  ExceptionTree tree = shapes::star(1);
-  HandlerTable handlers;
-  ContextStack stack;
-  EXPECT_TRUE(stack.empty());
-  Context c1;
-  c1.instance = ActionInstanceId(1);
-  c1.tree = &tree;
-  c1.handlers = &handlers;
-  stack.push(c1);
-  Context c2 = c1;
-  c2.instance = ActionInstanceId(2);
-  stack.push(c2);
-
-  EXPECT_EQ(stack.size(), 2u);
-  EXPECT_EQ(stack.active().instance, ActionInstanceId(2));
-  EXPECT_EQ(stack.depth_of(ActionInstanceId(1)), 0u);
-  EXPECT_EQ(stack.depth_of(ActionInstanceId(2)), 1u);
-  EXPECT_FALSE(stack.depth_of(ActionInstanceId(9)).has_value());
-
-  // Nested-below: the active action is deeper than instance 1.
-  EXPECT_TRUE(stack.nested_below(ActionInstanceId(1)));
-  EXPECT_FALSE(stack.nested_below(ActionInstanceId(2)));
-
-  const Context popped = stack.pop();
-  EXPECT_EQ(popped.instance, ActionInstanceId(2));
-  EXPECT_EQ(stack.active().instance, ActionInstanceId(1));
 }
 
 }  // namespace

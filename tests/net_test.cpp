@@ -2,6 +2,9 @@
 // fault injection, node crashes, reliable transport.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "net/network.h"
 #include "net/reliable_link.h"
 #include "net/wire.h"
@@ -210,8 +213,13 @@ TEST(MessageKinds, Classification) {
   EXPECT_TRUE(is_resolution_kind(MsgKind::kCommit));
   EXPECT_FALSE(is_resolution_kind(MsgKind::kActionDone));
   EXPECT_FALSE(is_resolution_kind(MsgKind::kCrRaise));
-  EXPECT_TRUE(is_transport_kind(MsgKind::kTransportAck));
   EXPECT_EQ(kind_name(MsgKind::kHaveNested), "HaveNested");
+  const std::vector<MsgKind>& kinds = all_kinds();
+  EXPECT_NE(std::find(kinds.begin(), kinds.end(), MsgKind::kRelay),
+            kinds.end());
+  EXPECT_EQ(std::find(kinds.begin(), kinds.end(), MsgKind::kInvalid),
+            kinds.end());
+  for (const MsgKind kind : kinds) EXPECT_NE(kind_name(kind), "Unknown");
 }
 
 }  // namespace

@@ -151,7 +151,7 @@ TEST(Oracle, SkipsCrashedNodesInStuckAndAgreement) {
 
 // Conservation: per message kind, sent + duplicated == delivered + dropped.
 // Bumping a sent counter without a matching delivery breaks exactly one
-// kind's books.
+// kind's books, for every kind the network accounts for.
 TEST(Oracle, DetectsConservationBreak) {
   World w;
   auto& o1 = w.add_participant("O1");
@@ -167,15 +167,19 @@ TEST(Oracle, DetectsConservationBreak) {
   options.deadline = w.simulator().now();
   ASSERT_TRUE(check_invariants(w, options).ok());
 
-  // Phantom send: one Exception packet the network never accounted for.
-  w.metrics().counters().add(
-      net::kind_counters(net::MsgKind::kException).sent);
-  const OracleReport report = check_invariants(w, options);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(any_violation_contains(report, "conservation broken"))
-      << report.summary();
-  EXPECT_TRUE(any_violation_contains(report, "Exception"));
-  EXPECT_EQ(report.violations.size(), 1u) << report.summary();
+  for (const net::MsgKind kind : net::all_kinds()) {
+    SCOPED_TRACE(std::string(net::kind_name(kind)));
+    // Phantom send: one packet the network never accounted for.
+    const CounterId sent = net::kind_counters(kind).sent;
+    w.metrics().counters().add(sent);
+    const OracleReport report = check_invariants(w, options);
+    EXPECT_EQ(report.violations.size(), 1u) << report.summary();
+    EXPECT_TRUE(any_violation_contains(
+        report, "conservation broken for " +
+                    std::string(net::kind_name(kind)) + ":"))
+        << report.summary();
+    w.metrics().counters().add(sent, -1);
+  }
 }
 
 // Transactional leaks: a transaction that acquired locks and wrote but

@@ -1,5 +1,5 @@
 // Unit tests for util: strong ids, member ranks, status/result, RNG,
-// interning, counters, logging.
+// interning, counters.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -8,7 +8,6 @@
 #include "util/counters.h"
 #include "util/ids.h"
 #include "util/intern.h"
-#include "util/log.h"
 #include "util/members.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -240,31 +239,6 @@ TEST(Counters, ToStringIsSortedAndSkipsZeroes) {
   const auto all = c.all();
   EXPECT_EQ(all.size(), 2u);
   EXPECT_EQ(all.at("aa.first"), 2);
-}
-
-TEST(Logger, RespectsLevelAndSink) {
-  Logger logger;
-  std::vector<std::string> lines;
-  logger.set_sink([&](LogLevel, std::string_view line) {
-    lines.emplace_back(line);
-  });
-  logger.set_level(LogLevel::kInfo);
-  CAA_LOG(logger, LogLevel::kDebug, "test") << "hidden";
-  CAA_LOG(logger, LogLevel::kInfo, "test") << "shown " << 42;
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("shown 42"), std::string::npos);
-  EXPECT_NE(lines[0].find("[test]"), std::string::npos);
-}
-
-TEST(Logger, TimeSourcePrefix) {
-  Logger logger;
-  std::string captured;
-  logger.set_sink(
-      [&](LogLevel, std::string_view line) { captured = std::string(line); });
-  logger.set_level(LogLevel::kTrace);
-  logger.set_time_source([] { return std::int64_t{777}; });
-  logger.log(LogLevel::kWarn, "mod", "msg");
-  EXPECT_NE(captured.find("@t=777"), std::string::npos);
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ void usage() {
                "[--kind NAME|NUM] [--chain ID] [--no-records] [--no-paths]\n");
 }
 
-/// Accepts a numeric MsgKind or its kind_name() (e.g. "Exception", "Ack").
+/// Accepts a numeric MsgKind or its kind_name() (e.g. "Exception", "ACK").
 bool parse_kind(const std::string& arg, std::uint32_t& out) {
   char* end = nullptr;
   const unsigned long numeric = std::strtoul(arg.c_str(), &end, 10);
@@ -34,24 +34,7 @@ bool parse_kind(const std::string& arg, std::uint32_t& out) {
     out = static_cast<std::uint32_t>(numeric);
     return true;
   }
-  static constexpr caa::net::MsgKind kKnown[] = {
-      caa::net::MsgKind::kTransportAck, caa::net::MsgKind::kException,
-      caa::net::MsgKind::kHaveNested, caa::net::MsgKind::kNestedCompleted,
-      caa::net::MsgKind::kAck, caa::net::MsgKind::kCommit,
-      caa::net::MsgKind::kCrRaise, caa::net::MsgKind::kCrCommit,
-      caa::net::MsgKind::kCrAck, caa::net::MsgKind::kArcheReport,
-      caa::net::MsgKind::kArcheConcerted,
-      caa::net::MsgKind::kCentralException, caa::net::MsgKind::kCentralFreeze,
-      caa::net::MsgKind::kCentralFrozenAck, caa::net::MsgKind::kCentralCommit,
-      caa::net::MsgKind::kActionJoin, caa::net::MsgKind::kActionJoinAck,
-      caa::net::MsgKind::kActionDone, caa::net::MsgKind::kActionLeave,
-      caa::net::MsgKind::kActionAborted, caa::net::MsgKind::kTxnOpRequest,
-      caa::net::MsgKind::kTxnOpReply, caa::net::MsgKind::kTxnPrepare,
-      caa::net::MsgKind::kTxnVote, caa::net::MsgKind::kTxnDecision,
-      caa::net::MsgKind::kTxnDecisionAck, caa::net::MsgKind::kHeartbeat,
-      caa::net::MsgKind::kAppData,
-  };
-  for (const caa::net::MsgKind kind : kKnown) {
+  for (const caa::net::MsgKind kind : caa::net::all_kinds()) {
     if (arg == caa::net::kind_name(kind)) {
       out = static_cast<std::uint32_t>(kind);
       return true;

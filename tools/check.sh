@@ -178,16 +178,32 @@ if grep -nE 'route_resolution|on_fast_cover|on_exit_msg|drain_(future|pending)|b
 fi
 echo "scoped messages take one intake"
 
+# One record per entered scope: a participant's stack of nested exception
+# contexts, SA_i of §4.1, is its stack of per-scope records
+# (Participant::stack_, outermost first). A context stack kept beside it,
+# or a second per-scope map of the same records, is a second copy of which
+# scopes are entered and in what order.
+echo "==== one record per scope grep gate ========================"
+if grep -rnE --exclude=check.sh 'ContextStack|context_stack\.h|ex::Context\b' \
+    src tools bench examples \
+  || grep -nE 'contexts_|std::map<ActionInstanceId, *Dyn>' \
+    src/caa/participant.h src/caa/participant.cpp; then
+  echo "a second copy of the entered scopes is back" >&2
+  echo "(SA_i is Participant::stack_; look scopes up with find_dyn)" >&2
+  exit 1
+fi
+echo "each entered scope has one record"
+
 # One protocol event stream: the flight recorder (src/obs/flight_recorder.h)
 # records every protocol step as a typed record, and the §4.3 narrative
 # tests, caa-inspect, caa-chaos --trace and the Chrome trace (spans paired
 # from an observed world's records, obs/chrome_trace.h) all read it. A
 # second, string-formatted narrative log, a span tracer, the hooks that fed
-# them or the per-layer helpers that built detail strings for them must not
-# regrow.
+# them, the per-layer helpers that built detail strings for them or a
+# string logger must not regrow.
 echo "==== one protocol event stream grep gate ==================="
 if grep -rnE --exclude=check.sh \
-    'TraceLog|sim/trace\.h|trace_enabled|exit_trace|hooks_?\.trace\b|void trace\(std::string_view|obs::Tracer|tracer\(\)|SpanId|begin_async|set_track_name|obs/tracer\.h' \
+    'TraceLog|sim/trace\.h|trace_enabled|exit_trace|hooks_?\.trace\b|void trace\(std::string_view|obs::Tracer|tracer\(\)|SpanId|begin_async|set_track_name|obs/tracer\.h|Logger|CAA_LOG|util/log\.h' \
     src tools bench examples; then
   echo "a second protocol event stream is back" >&2
   echo "(record protocol steps in obs::FlightRecorder and render from it)" >&2
@@ -196,7 +212,8 @@ fi
 echo "the flight recorder is the only protocol event stream"
 
 # caa-inspect must keep decoding the committed dump format: render the
-# golden .caafr and diff against the golden rendering the tests pin.
+# golden .caafr and diff against the golden rendering the tests pin. Its
+# --kind filter must accept every kind net::all_kinds() lists.
 echo "==== caa-inspect golden decode ============================="
 inspect=""
 tooldir=""
@@ -213,6 +230,12 @@ if [ -n "${inspect}" ]; then
     | diff -u tests/golden/example1_inspect.txt - \
     || { echo "caa-inspect output drifted from tests/golden/example1_inspect.txt" >&2; exit 1; }
   echo "caa-inspect decode matches the golden"
+  for kind in Relay PaxosVote; do
+    "${inspect}" tests/golden/example1_recorder.caafr --kind "${kind}" \
+      > /dev/null \
+      || { echo "caa-inspect rejected --kind ${kind}" >&2; exit 1; }
+  done
+  echo "caa-inspect accepts --kind Relay and --kind PaxosVote"
 else
   echo "skipped (no dev/release preset in this run)"
 fi
