@@ -23,8 +23,10 @@ namespace caa::action {
 struct InstanceInfo {
   ActionInstanceId instance;
   const ActionDecl* decl = nullptr;
-  // Sorted (§4.1 order). The instance's one member list: every layer reads
-  // it by reference and ranks it with rank_in (util/members.h).
+  // Sorted and duplicate-free (§4.1 order): ActionManager::create_instance
+  // checks both once, and nothing reorders the list, so readers do not
+  // re-check. The instance's one member list: every layer reads it by
+  // reference and ranks it with rank_in (util/members.h).
   std::vector<ObjectId> members;
   ActionInstanceId parent;  // invalid for an outermost action
 

@@ -99,7 +99,7 @@ bool Participant::enter(ActionInstanceId instance, EnterConfig config) {
   Dyn& dyn = *stack_.emplace_back(std::make_unique<Dyn>());
   dyn.info = &info;
   dyn.config = std::move(config);
-  dyn.excluded = &exclusions_of(info);
+  dyn.excluded = &membership_.contact(info);
 
   // Tree-mode scope: join the relay overlay before any message can flow, so
   // this member relays (and delivers) from the first envelope on.
@@ -292,7 +292,7 @@ void Participant::on_scoped(ObjectId from, net::MsgKind kind,
   // exclusion-divergence bug (action::DebugBugs) accepts its five protocol
   // kinds again.
   const bool from_crashed =
-      crashed_.contains(from) &&
+      membership_.down().contains(from) &&
       (kind == net::MsgKind::kFastCover ||
        !manager_.debug_bugs().exclusion_divergence);
   switch (classify(kind, from_crashed, seen, round)) {
@@ -395,7 +395,7 @@ void Participant::deliver_to_engine(Dyn& dyn, net::MsgKind kind,
 void Participant::hold(ActionInstanceId scope, RawMsg msg) {
   // First contact with a scope not entered starts its exclusion set.
   if (find_dyn(scope) == nullptr && manager_.known(scope)) {
-    exclusions_of(manager_.info(scope));
+    membership_.contact(manager_.info(scope));
   }
   held_[scope].push_back(std::move(msg));
 }
@@ -586,8 +586,8 @@ void Participant::join_overlay(const InstanceInfo& info) {
                        &runtime().simulator().obs().health());
     overlay_ready_ = true;
   }
-  overlay_.register_scope(info.instance, info.members, exclusions_of(info),
-                          info.overlay.fanout);
+  overlay_.register_scope(info.instance, info.members,
+                          membership_.contact(info), info.overlay.fanout);
 }
 
 void Participant::on_relay(ObjectId from, const net::Bytes& payload) {
@@ -894,7 +894,7 @@ void Participant::pop_context(ActionInstanceId scope) {
     retired_exits_.push_back(std::move(stack_.back()->exit));
   }
   stack_.pop_back();
-  if (!overlay_.manages(scope)) exclusions_.erase(scope);
+  if (!overlay_.manages(scope)) membership_.forget(scope);
   dead_.insert(scope);
   held_.erase(scope);
   sync_caa_health();
@@ -904,14 +904,6 @@ void Participant::pop_context(ActionInstanceId scope) {
 // ---------------------------------------------------------------------------
 // Helpers
 // ---------------------------------------------------------------------------
-
-std::set<ObjectId>& Participant::exclusions_of(const InstanceInfo& info) {
-  auto [it, fresh] = exclusions_.try_emplace(info.instance);
-  for (ObjectId peer : crashed_) {
-    if (fresh && info.is_member(peer)) it->second.insert(peer);
-  }
-  return it->second;
-}
 
 std::unique_ptr<resolve::ResolverCore> Participant::make_engine(
     Dyn& dyn, ActionInstanceId scope) {
@@ -1074,27 +1066,24 @@ LeaveMsg Participant::exit_decide(ActionInstanceId scope, std::uint32_t round,
 void Participant::exit_deliver_leave(const LeaveMsg& m) { apply_leave(m); }
 
 void Participant::notify_peer_crashed(ObjectId peer) {
-  if (peer == id()) return;
-  if (!crashed_.insert(peer).second) return;  // already known
+  if (peer != id()) on_crash_report(peer, membership_.detected(peer));
+}
+
+void Participant::on_crash_report(ObjectId peer,
+                                  const Membership::Effects& effects) {
+  if (!effects.newly_down && effects.lost.empty()) return;
   retired_exits_.clear();  // no exit-protocol frames on the stack here
-  purge_held_from(peer);
-  // Open scopes that lose the peer, outermost first, with pre-crash leaders.
-  std::vector<std::pair<ActionInstanceId, ObjectId>> losing;
-  for (const auto& dyn : stack_) {
-    if (dyn->info->is_member(peer) && !dyn->excluded->contains(peer)) {
-      losing.emplace_back(dyn->info->instance, live_leader(*dyn));
-    }
-  }
+  if (effects.newly_down) purge_held_from(peer);
   // Heal the relay trees before any scope reacts: the re-announcements below
   // must travel the repaired topology, not through the dead relay.
-  for (auto& [scope, excluded] : exclusions_) {
-    if (manager_.info(scope).is_member(peer) && excluded.insert(peer).second) {
-      overlay_.on_excluded(scope, peer);
-    }
+  for (const Membership::Loss& loss : effects.lost) {
+    overlay_.on_excluded(loss.scope, peer);
   }
-  for (const auto& [instance, old_leader] : losing) {
+  // The open scopes that lost the peer react outermost first: a nested
+  // instance is created inside its parent, so scope ids grow inwards.
+  for (const auto& [instance, old_leader] : effects.lost) {
     Dyn* found = find_dyn(instance);
-    CAA_CHECK(found != nullptr);
+    if (found == nullptr) continue;  // not entered, or left
     Dyn& dyn = *found;
     // Avoidance first: any census aborts and suppressed raises replay into
     // the engine NOW, so the CrashSync barrier and the exit protocol's
@@ -1116,15 +1105,26 @@ void Participant::notify_peer_crashed(ObjectId peer) {
     // and tear the scope down; nothing touches `dyn` afterwards.
     dyn.exit->on_peer_crashed(peer, old_leader, live_leader(dyn));
   }
-  // The peer will never ACK a Leave again: complete any waiting records.
-  if (const std::size_t collected = leave_log_.waive(peer); collected > 0) {
+  // A crashed peer will never ACK a Leave again: complete waiting records.
+  if (const std::size_t collected =
+          effects.newly_down ? leave_log_.waive(peer) : 0) {
     runtime().simulator().counters().add(
         kCounterLeaveCollected, static_cast<std::int64_t>(collected));
   }
   // Forward recovery among survivors: raise the configured crash exception
-  // if this participant is still working in its active action.
+  // if this participant is still working in its active action — on news of
+  // the crash, or when a report of an earlier incarnation's crash struck the
+  // active scope.
   if (!in_action()) return;
   Dyn& adyn = *stack_.back();
+  const ActionInstanceId active = adyn.info->instance;
+  if (!effects.newly_down &&
+      std::none_of(effects.lost.begin(), effects.lost.end(),
+                   [active](const Membership::Loss& l) {
+                     return l.scope == active;
+                   })) {
+    return;
+  }
   if (adyn.config.crash_exception.valid() && adyn.info->is_member(peer) &&
       !adyn.aborting && !adyn.done_sent && !adyn.handling &&
       adyn.engine->state() == resolve::ResolverCore::State::kNormal) {
@@ -1223,7 +1223,7 @@ void Participant::on_crash_sync(ObjectId from, const net::Bytes& payload) {
   if (!decoded.is_ok()) return;
   const resolve::CrashSyncMsg m = decoded.value();
   if (m.crashed == id()) return;  // fail-stop: nobody truthfully names us
-  if (crashed_.contains(from)) {
+  if (membership_.down().contains(from)) {
     runtime().simulator().counters().add(kCounterFromCrashedDropped);
     return;
   }
@@ -1235,9 +1235,9 @@ void Participant::on_crash_sync(ObjectId from, const net::Bytes& payload) {
   // entered yet is first contact: its exclusion set starts before the
   // crash is recorded, so it keeps the crash across a restart.
   if (!dead_.contains(m.scope) && manager_.known(m.scope)) {
-    exclusions_of(manager_.info(m.scope));
+    membership_.contact(manager_.info(m.scope));
   }
-  notify_peer_crashed(m.crashed);
+  on_crash_report(m.crashed, membership_.reported(m.crashed, m.scope));
   Dyn* dyn = find_dyn(m.scope);
   if (dyn == nullptr || dyn->aborting) {
     // Not in the action (never entered, left, restarted, or aborting out of
@@ -1279,11 +1279,7 @@ void Participant::on_crash_sync(ObjectId from, const net::Bytes& payload) {
 }
 
 void Participant::notify_peer_restarted(ObjectId peer) {
-  if (peer == id()) return;
-  if (crashed_.erase(peer) == 0) return;
-  // Scope exclusions stay (DESIGN.md §4b): the peer lost its volatile state
-  // for those actions. Only the from-crashed message filter and the seed
-  // for scopes first contacted from now on forget it.
+  if (peer != id()) membership_.restarted(peer);
 }
 
 void Participant::on_restarted() {
@@ -1311,7 +1307,7 @@ void Participant::on_restarted() {
   // Relay caches and squelch state are volatile too: the healed survivor
   // trees exclude us, and on_relay drops envelopes for abandoned scopes.
   overlay_.clear();
-  exclusions_.clear();
+  membership_.forget_scopes();
   // Watchdog holds for the abandoned scopes were released at crash time;
   // instances entered from now on are watched normally again.
   wd_released_ = false;

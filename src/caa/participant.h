@@ -24,11 +24,9 @@
 //    ones, are the single pure function classify(). Every scoped message
 //    takes its verdict from it, and one hold map keeps what cannot be
 //    delivered yet until entry, a round bump or backward recovery.
-//  * Crash exclusion (extension, DESIGN.md §4b): one set per scope, from
-//    first contact — entry, a held belated message, a CrashSync push or a
-//    relayed envelope — so a belated entrant excludes every crash heard of
-//    since, restarts included. Engines, exit protocol, avoidance, leave log
-//    and relay tree read it; notify_peer_crashed alone writes it.
+//  * Crash exclusion (extension, DESIGN.md §4b): which peers are down, and
+//    one exclusion set per scope from first contact, live in `membership_`
+//    (caa/membership.h); this class applies the per-scope reactions.
 #pragma once
 
 #include <map>
@@ -39,6 +37,7 @@
 #include <vector>
 
 #include "caa/action_manager.h"
+#include "caa/membership.h"
 #include "ex/handler_table.h"
 #include "exit/exit_protocol.h"
 #include "exit/leave_log.h"
@@ -305,20 +304,14 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
     failure_sink_ = std::move(sink);
   }
 
-  /// Crash-tolerance extension: informs this participant that `peer` has
-  /// crashed (fail-stop). Typically driven by an rt::HeartbeatMonitor. The
-  /// peer stops counting towards ACKs, nested completions and exit
-  /// barriers; if it was the exit-barrier leader, leadership moves to the
-  /// next live member and pending Dones are re-sent; if crash_exception is
-  /// configured and this participant is still working, it is raised.
+  /// Crash-tolerance extension, a failure detector's report (World::crash
+  /// or an rt::HeartbeatMonitor): `peer` crashed (fail-stop). It stops
+  /// counting towards ACKs, nested completions and exit barriers of the
+  /// scopes it is struck from; exit leadership moves on, and the
+  /// crash_exception, if configured, is raised in a working participant.
   void notify_peer_crashed(ObjectId peer);
-
-  /// Crash-tolerance extension: informs this participant that a previously
-  /// crashed `peer` restarted. The peer stays excluded from every scope this
-  /// participant had contacted when it learned of the crash, in every later
-  /// round of them too, but its messages are accepted again and it counts
-  /// as a regular member of scopes first contacted from now on (DESIGN.md
-  /// §4b).
+  /// `peer` restarted after a crash: its messages count again
+  /// (Membership::restarted).
   void notify_peer_restarted(ObjectId peer);
 
   /// Crash-tolerance extension, restart side: invoked (by the World's node
@@ -337,6 +330,9 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   [[nodiscard]] const std::set<ActionInstanceId>& abandoned_scopes() const {
     return abandoned_;
   }
+
+  /// The peers this participant believes down, and its scope exclusions.
+  [[nodiscard]] const Membership& membership() const { return membership_; }
 
   /// This participant's overlay dissemination engine (tree-mode scopes only;
   /// exposed for tests asserting tree determinism and healing).
@@ -385,7 +381,7 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   struct Dyn {
     const InstanceInfo* info = nullptr;
     EnterConfig config;
-    // This scope's entry in exclusions_ (crashed members; grows only).
+    // This scope's exclusion set in membership_ (grows only).
     const std::set<ObjectId>* excluded = nullptr;
     std::unique_ptr<resolve::ResolverCore> engine;
     std::uint32_t round = 0;
@@ -437,6 +433,8 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   void on_leave_ack(ObjectId from, const net::Bytes& payload);
   void on_leave_msg(const net::Bytes& payload);
   void on_crash_sync(ObjectId from, const net::Bytes& payload);
+  /// The reactions to a crash report, in the open scopes it struck.
+  void on_crash_report(ObjectId peer, const Membership::Effects& effects);
 
   // Resolution plumbing.
   resolve::ResolverCore::Hooks make_hooks(ActionInstanceId scope);
@@ -515,8 +513,6 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   void exit_deliver_leave(const LeaveMsg& m) override;
 
   // Helpers.
-  /// The scope's exclusion set; the first call seeds it from crashed_.
-  std::set<ObjectId>& exclusions_of(const InstanceInfo& info);
   [[nodiscard]] std::unique_ptr<resolve::ResolverCore> make_engine(
       Dyn& dyn, ActionInstanceId scope);
   [[nodiscard]] ObjectId live_leader(const Dyn& dyn) const;
@@ -550,9 +546,9 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   void wd_closed(ActionInstanceId scope);
 
   ActionManager& manager_;
-  // Per-scope exclusion sets, declared before their readers. A flat scope's
-  // goes with its context, a tree scope's when the overlay drops the scope.
-  std::map<ActionInstanceId, std::set<ObjectId>> exclusions_;
+  // Declared before the readers of its sets. A flat scope's set goes with
+  // its context, a tree scope's with the overlay's relay duty.
+  Membership membership_;
   // SA_i, outermost first. Boxed: a nested entry runs inside the outer
   // record's body callback, so no record may move when another is pushed.
   std::vector<std::unique_ptr<Dyn>> stack_;
@@ -573,10 +569,6 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   // context). Retired here instead of destroyed; swept at the next quiet
   // entry into this participant.
   std::vector<std::unique_ptr<exit::ExitProtocol>> retired_exits_;
-  // Peers known to have crashed (extension): filters their messages and
-  // seeds the exclusion set of scopes first contacted later. A restart
-  // erases the peer here, never from a scope's exclusion set.
-  std::set<ObjectId> crashed_;
   overlay::Disseminator overlay_;  // relay engine for tree-mode scopes
   bool overlay_ready_ = false;     // configure() ran (identity bound)
   std::optional<AbortChain> abort_chain_;

@@ -82,14 +82,13 @@ World::~World() {
   obs::FlightRecorder::bind_thread_active(prev_recorder_);
 }
 
-void World::on_node_restarted(NodeId node) {
-  // Survivors that had not yet detected the crash learn of it now (the call
-  // is idempotent, so nodes already notified by a heartbeat monitor or a
-  // fault plan pay nothing); only then do the restarted node's participants
-  // abandon the action state the crash wiped. Restarted objects stay
-  // excluded from the scopes they crashed out of, in every later round of
-  // them too — they may only enter *new* action instances
-  // (Participant::on_restarted, DESIGN.md §4b).
+void World::crash(NodeId node) {
+  if (!network_.node_up(node)) return;  // reported when it went down
+  network_.set_node_up(node, false);
+  report_crash(node);
+}
+
+void World::report_crash(NodeId node) {
   for (const auto& victim : participants_) {
     if (victim->runtime().node() != node) continue;
     for (const auto& peer : participants_) {
@@ -98,6 +97,16 @@ void World::on_node_restarted(NodeId node) {
       peer->notify_peer_crashed(victim->id());
     }
   }
+}
+
+void World::on_node_restarted(NodeId node) {
+  // Survivors that had not yet detected the crash learn of it now (a no-op
+  // for those that had); only then do the restarted node's participants
+  // abandon the action state the crash wiped. Restarted objects stay
+  // excluded from the scopes they crashed out of, in every later round of
+  // them too — they may only enter *new* action instances
+  // (Participant::on_restarted, DESIGN.md §4b).
+  report_crash(node);
   for (const auto& victim : participants_) {
     if (victim->runtime().node() == node) victim->on_restarted();
   }

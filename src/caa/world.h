@@ -174,6 +174,13 @@ class World {
     return participants_;
   }
 
+  /// Fail-stop crash of `node`: takes it down and reports each of its
+  /// participants crashed to every participant on another live node (a
+  /// perfect, immediate detector, so worlds stay deterministic). No-op if
+  /// the node is already down. A restart is `network().set_node_up(node,
+  /// true)`.
+  void crash(NodeId node);
+
   /// Schedules a scenario step at absolute virtual time `t`.
   void at(sim::Time t, std::function<void()> fn);
 
@@ -191,6 +198,8 @@ class World {
   }
 
  private:
+  /// The one crash fan-out, shared by crash() and the restart path.
+  void report_crash(NodeId node);
   void on_node_restarted(NodeId node);
 
   WorldConfig config_;

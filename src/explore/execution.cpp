@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "fault/injector.h"
 #include "util/check.h"
 
 namespace caa::explore {
@@ -147,7 +146,7 @@ bool Execution::take(const Transition& t) {
       break;
     }
     case TransitionKind::kCrash: {
-      fault::FaultInjector::crash_node(world(), NodeId(info.src));
+      world().crash(NodeId(info.src));
       // Fail-stop eager policy: mail TO the dead node can never be read —
       // drop it atomically with the crash. Mail FROM the dead node stays
       // parked; each such packet becomes a deliver-or-drop family choice,

@@ -12,7 +12,7 @@
 //                   sender has crashed (fail-stop: in-flight messages from
 //                   a dead node may or may not arrive);
 //   crash <node>  — fail-stop node `node` now
-//                   (fault::FaultInjector::crash_node).
+//                   (World::crash).
 //
 // The ordering (deliver < timer < drop < crash, then by id) doubles as the
 // default scheduling policy: the first enabled transition is the one a

@@ -13,23 +13,6 @@ FaultInjector::FaultInjector(World& world, FaultPlan plan)
   arm();
 }
 
-void FaultInjector::crash_node(World& world, NodeId node) {
-  net::Network& network = world.network();
-  if (!network.node_up(node)) return;  // already down (shrunk plans)
-  network.set_node_up(node, false);
-  // Fail-stop detection: every participant on a live node learns of each of
-  // the victim's objects. Immediate detection keeps plans deterministic; a
-  // detection-latency study would move this behind the heartbeat monitor.
-  for (const auto& victim : world.participants()) {
-    if (victim->runtime().node() != node) continue;
-    for (const auto& peer : world.participants()) {
-      const NodeId peer_node = peer->runtime().node();
-      if (peer_node == node || !network.node_up(peer_node)) continue;
-      peer->notify_peer_crashed(victim->id());
-    }
-  }
-}
-
 void FaultInjector::arm() {
   sim::Simulator& simulator = world_.simulator();
   net::Network& network = world_.network();
@@ -37,7 +20,7 @@ void FaultInjector::arm() {
     switch (e.kind) {
       case FaultKind::kCrash:
         simulator.schedule_at(e.at, [this, node = NodeId(e.a)] {
-          crash_node(world_, node);
+          world_.crash(node);
         });
         break;
       case FaultKind::kRestart:
@@ -95,7 +78,7 @@ void FaultInjector::arm() {
       trigger_fired_ = true;
       world_.simulator().schedule_at(
           world_.simulator().now() + *resolver_delay_,
-          [this, node = p.src.node] { crash_node(world_, node); });
+          [this, node = p.src.node] { world_.crash(node); });
     }
     if (assassin_delay_.has_value() && !assassin_fired_ &&
         (p.kind == net::MsgKind::kActionDone ||
@@ -109,7 +92,7 @@ void FaultInjector::arm() {
             net::Network& network = world_.network();
             for (std::uint32_t n = 0; n < world_.node_count(); ++n) {
               if (network.node_up(NodeId(n))) {
-                crash_node(world_, NodeId(n));
+                world_.crash(NodeId(n));
                 return;
               }
             }

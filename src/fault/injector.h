@@ -1,16 +1,15 @@
 // Arms a FaultPlan against a World as ordinary simulator events.
 //
-// The injector owns no policy: it translates timeline entries into the
-// Network's fault primitives (set_node_up, set_partitioned, windowed drop /
-// latency overrides) plus the crash-notification choreography the
-// fail-stop extension expects (every live participant learns of a crashed
-// peer's objects). The trigger-based faults share the Network's single send
-// tap: the resolver crash schedules a crash of the first Exception packet's
-// sender a configured delay later, and the exit assassin schedules a crash
-// of the current exit leader (the lowest live node) once the first
-// exit-protocol packet (ActionDone / PaxosVote) is seen. Both only
-// *schedule* — the tap runs inside send() with participant frames on the
-// stack, so nothing may crash synchronously.
+// The injector owns no policy: it translates timeline entries into
+// World::crash (which delivers a crash to every live participant) and the
+// Network's fault primitives (set_node_up for restarts, set_partitioned,
+// windowed drop / latency overrides). The trigger-based faults share the
+// Network's single send tap: the resolver crash schedules a crash of the
+// first Exception packet's sender a configured delay later, and the exit
+// assassin schedules a crash of the current exit leader (the lowest live
+// node) once the first exit-protocol packet (ActionDone / PaxosVote) is
+// seen. Both only *schedule* — the tap runs inside send() with participant
+// frames on the stack, so nothing may crash synchronously.
 //
 // One injector serves one run of one world and must outlive it.
 #pragma once
@@ -32,11 +31,6 @@ class FaultInjector {
   FaultInjector& operator=(const FaultInjector&) = delete;
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
-
-  /// Crashes `node` now: marks it down and notifies every participant on a
-  /// live node of each of the victim's participants. No-op if already
-  /// down. Exposed so tests can script crashes outside a plan.
-  static void crash_node(World& world, NodeId node);
 
  private:
   void arm();

@@ -64,6 +64,18 @@ OracleReport check_invariants(World& world, const OracleOptions& options) {
     }
   }
 
+  // Membership agreement: a participant on a live node believes no
+  // participant on a live node down.
+  for (const auto& p : world.participants()) {
+    if (!world.network().node_up(p->runtime().node())) continue;
+    for (const ObjectId peer : p->membership().down()) {
+      if (world.network().node_up(world.directory().address_of(peer).node)) {
+        violate(p->name() + " believes " + world.directory().name_of(peer) +
+                " crashed, but its node is up");
+      }
+    }
+  }
+
   // Packet conservation per kind, relay envelopes included.
   const obs::Metrics& metrics = world.metrics();
   for (const net::MsgKind kind : net::all_kinds()) {

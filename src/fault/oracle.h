@@ -10,6 +10,9 @@
 //   * agreement    — across ALL participants (crashed ones included:
 //                    commits applied before a crash are final), every
 //                    (action, round) resolved to one exception (§4.2);
+//   * membership   — no participant on a live node believes a participant
+//                    on a live node crashed (a restart re-admits it, and a
+//                    stale crash report must not strike it down again);
 //   * conservation — per message kind, sent + duplicated ==
 //                    delivered + dropped: the network neither loses nor
 //                    invents packets beyond its declared faults;

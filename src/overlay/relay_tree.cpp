@@ -1,6 +1,6 @@
 #include "overlay/relay_tree.h"
 
-#include <algorithm>
+#include <iterator>
 #include <iterator>
 
 #include "util/check.h"
@@ -14,8 +14,6 @@ RelayTree::RelayTree(const std::vector<ObjectId>& members,
                      std::uint32_t fanout)
     : members_(members), exclusions_(exclusions), fanout_(fanout) {
   CAA_CHECK_MSG(fanout_ >= 1, "RelayTree: fanout must be >= 1");
-  CAA_CHECK_MSG(std::is_sorted(members_.begin(), members_.end()),
-                "RelayTree: members must be sorted");
 }
 
 bool RelayTree::contains(ObjectId member) const {

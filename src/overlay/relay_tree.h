@@ -22,8 +22,9 @@ namespace caa::overlay {
 
 class RelayTree {
  public:
-  /// `members` must be sorted and duplicate-free (InstanceInfo order);
-  /// `exclusions` may hold members only. Both must outlive the tree.
+  /// `members` is an InstanceInfo's list (sorted and duplicate-free, not
+  /// re-checked); `exclusions` may hold members only. Both must outlive
+  /// the tree.
   RelayTree(const std::vector<ObjectId>& members,
             const std::set<ObjectId>& exclusions, std::uint32_t fanout);
 

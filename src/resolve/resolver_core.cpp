@@ -34,8 +34,6 @@ ResolverCore::ResolverCore(ObjectId self,
       hooks_(std::move(hooks)),
       committee_(committee == 0 ? 1 : committee) {
   CAA_CHECK_MSG(tree_ != nullptr, "resolver needs an exception tree");
-  CAA_CHECK_MSG(std::is_sorted(members_.begin(), members_.end()),
-                "members must be sorted (§4.1 ordering)");
   CAA_CHECK_MSG(rank_in(members_, self_).has_value(),
                 "self must be a group member");
   lo_state_.assign(members_.size(), kLoAbsent);

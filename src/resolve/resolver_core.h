@@ -82,10 +82,10 @@ class ResolverCore {
     obs::Observability* obs = nullptr;
   };
 
-  /// `members` must be the sorted participant list of the action (G_A),
-  /// including `self` — the §4.1 total order. `excluded` is the owner's
-  /// set of crashed members of this scope (never `self`). Both must outlive
-  /// the engine.
+  /// `members` is the action's InstanceInfo list (G_A; sorted and
+  /// duplicate-free, not re-checked), including `self` — the §4.1 total
+  /// order. `excluded` is the owner's set of crashed members of this scope
+  /// (never `self`). Both must outlive the engine.
   ///
   /// `committee` implements the paper's fault-tolerance extension ("the
   /// algorithm can be easily extended to the use of a group of objects that

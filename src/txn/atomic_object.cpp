@@ -96,6 +96,9 @@ void AtomicObjectHost::handle_op(ObjectId from, const TxnOpRequest& request) {
       runtime().simulator().counters().add(kWaits);
       return;
     case LockOutcome::kDied:
+      // The victim must abort: its prepare votes no, and the abort decision
+      // undoes the writes it made before it died.
+      aborted_.insert(request.txn);
       runtime().simulator().counters().add(kWaitDieVictims);
       reply(from, request.request_id, TxnReplyStatus::kConflict);
       return;

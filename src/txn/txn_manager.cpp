@@ -111,6 +111,14 @@ void TxnClient::create(TxnId txn, ObjectId host, std::string object,
 void TxnClient::commit(TxnId txn, DoneCb cb) {
   TxnRecord& rec = record(txn);
   CAA_CHECK_MSG(rec.state == TxnState::kActive, "commit on finished txn");
+  if (rec.doomed) {
+    // A wait-die victim never commits: abort it everywhere instead.
+    rec.state = TxnState::kAborting;
+    fan_out_abort(txn, [cb = std::move(cb)](Status) {
+      if (cb) cb(Status::conflict("wait-die victim"));
+    });
+    return;
+  }
   rec.state = TxnState::kCommitting;
   rec.finish = std::move(cb);
 
@@ -231,6 +239,9 @@ void TxnClient::finish_op(const TxnOpReply& reply) {
       break;
     case TxnReplyStatus::kConflict:
       status = Status::conflict("wait-die victim");
+      if (const auto rec = txns_.find(pending.txn); rec != txns_.end()) {
+        rec->second.doomed = true;
+      }
       break;
     case TxnReplyStatus::kNotFound:
       status = Status::not_found("no such atomic object");

@@ -68,6 +68,7 @@ class TxnClient : public rt::ManagedObject {
     // 2PC / fan-out bookkeeping.
     std::size_t awaiting = 0;
     bool all_yes = true;
+    bool doomed = false;  // a host answered kConflict: it must abort
     DoneCb finish;
     sim::Time began = 0;  // when observed: start of the txn.latency sample
   };

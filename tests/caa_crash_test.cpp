@@ -49,16 +49,10 @@ struct CrashWorld {
     }
   }
 
-  /// Crashes object `victim`: kills its node and informs the survivors
-  /// (as a membership service would).
+  /// Crashes object `victim`'s node; the World informs the survivors.
   void crash(int victim, sim::Time at) {
     world.at(at, [this, victim] {
-      world.network().set_node_up(
-          world.directory().address_of(objects[victim]->id()).node, false);
-      for (int i = 0; i < static_cast<int>(objects.size()); ++i) {
-        if (i == victim) continue;
-        objects[i]->notify_peer_crashed(objects[victim]->id());
-      }
+      world.crash(objects[victim]->runtime().node());
     });
   }
 };

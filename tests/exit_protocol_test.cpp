@@ -15,7 +15,6 @@
 #include "exit/exit_protocol.h"
 #include "exit/leave_log.h"
 #include "fault/chaos.h"
-#include "fault/injector.h"
 #include "scenario/scenarios.h"
 
 namespace caa {
@@ -64,11 +63,10 @@ struct ExitWorld {
     }
   }
 
-  /// Crashes object `victim`'s node and informs the survivors.
+  /// Crashes object `victim`'s node; the World informs the survivors.
   void crash(int victim, sim::Time at) {
     world.at(at, [this, victim] {
-      fault::FaultInjector::crash_node(
-          world, world.directory().address_of(objects[victim]->id()).node);
+      world.crash(objects[victim]->runtime().node());
     });
   }
 

@@ -15,7 +15,6 @@
 
 #include "caa/world.h"
 #include "fault/chaos.h"
-#include "fault/injector.h"
 #include "fault/oracle.h"
 #include "overlay/params.h"
 #include "run/campaign.h"
@@ -65,6 +64,29 @@ struct RestartWorld {
     return inst.instance;
   }
 
+  /// A second instance of all three, in which O3 raises, run to the end.
+  ActionInstanceId o3_raises_in_a_new_instance() {
+    const auto& second =
+        w.actions().create_instance(*decl, {o1->id(), o2->id(), o3->id()});
+    for (auto* o : {o1, o2, o3}) {
+      EXPECT_TRUE(o->enter(
+          second.instance,
+          EnterConfig::with(uniform_handlers(
+              decl->tree(), ex::HandlerResult::recovered(100)))));
+    }
+    w.at(w.simulator().now() + 500, [this] { o3->raise("boom"); });
+    for (auto* o : {o1, o2, o3}) {
+      w.at(w.simulator().now() + 5000, [o] {
+        if (o->in_action() && !o->at_acceptance_line() &&
+            o->resolver_state() == resolve::ResolverCore::State::kNormal) {
+          o->complete();
+        }
+      });
+    }
+    w.run();
+    return second.instance;
+  }
+
   void drive_completion() {
     for (auto* o : {o1, o2, o3}) {
       for (sim::Time t = 6000; t <= 20000; t += 2000) {
@@ -84,7 +106,7 @@ TEST(FaultRestart, RestartMidActionAbandonsTheScopeSurvivorsFinish) {
   const ActionInstanceId scope = rw.enter_all();
   const NodeId victim = rw.o3->runtime().node();
   rw.w.at(1000, [&rw] { rw.o2->raise("boom"); });
-  rw.w.at(1250, [&rw, victim] { fault::FaultInjector::crash_node(rw.w, victim); });
+  rw.w.at(1250, [&rw, victim] { rw.w.crash(victim); });
   rw.w.at(2600, [&rw, victim] { rw.w.network().set_node_up(victim, true); });
   rw.drive_completion();
   rw.w.run();
@@ -111,7 +133,7 @@ TEST(FaultRestart, RestartedObjectIsReadmittedIntoNewActions) {
   rw.enter_all();
   const NodeId victim = rw.o3->runtime().node();
   rw.w.at(1000, [&rw] { rw.o2->raise("boom"); });
-  rw.w.at(1250, [&rw, victim] { fault::FaultInjector::crash_node(rw.w, victim); });
+  rw.w.at(1250, [&rw, victim] { rw.w.crash(victim); });
   rw.w.at(2600, [&rw, victim] { rw.w.network().set_node_up(victim, true); });
   rw.drive_completion();
   rw.w.run();
@@ -119,24 +141,7 @@ TEST(FaultRestart, RestartedObjectIsReadmittedIntoNewActions) {
 
   // A fresh instance after re-admission: the restarted object is a full
   // member again — it enters, resolves and exits with everyone else.
-  const auto& second = rw.w.actions().create_instance(
-      *rw.decl, {rw.o1->id(), rw.o2->id(), rw.o3->id()});
-  for (auto* o : {rw.o1, rw.o2, rw.o3}) {
-    ASSERT_TRUE(o->enter(
-        second.instance,
-        EnterConfig::with(uniform_handlers(
-            rw.decl->tree(), ex::HandlerResult::recovered(100)))));
-  }
-  rw.w.at(rw.w.simulator().now() + 500, [&rw] { rw.o3->raise("boom"); });
-  for (auto* o : {rw.o1, rw.o2, rw.o3}) {
-    rw.w.at(rw.w.simulator().now() + 5000, [o] {
-      if (o->in_action() && !o->at_acceptance_line() &&
-          o->resolver_state() == resolve::ResolverCore::State::kNormal) {
-        o->complete();
-      }
-    });
-  }
-  rw.w.run();
+  rw.o3_raises_in_a_new_instance();
 
   const fault::OracleReport report = fault::check_invariants(rw.w, {});
   EXPECT_TRUE(report.ok()) << report.summary();
@@ -144,6 +149,40 @@ TEST(FaultRestart, RestartedObjectIsReadmittedIntoNewActions) {
     EXPECT_FALSE(o->in_action());
     ASSERT_FALSE(o->handled().empty()) << o->name();
     EXPECT_EQ(o->handled().back().resolved, rw.decl->tree().find("boom"));
+  }
+}
+
+// A CrashSync message that names a peer which restarted after the crash it
+// reports is about the earlier incarnation. Here O3 restarts before the
+// survivors' CrashSync messages land (≈1350). Survivors that marked O3 down
+// again on them would drop its messages and exclude it from the next
+// instance, where its raise would never be handled.
+TEST(FaultRestart, StaleCrashSyncLeavesARestartedPeerUp) {
+  for (const sim::Time restart_at :
+       {sim::Time{1260}, sim::Time{1300}, sim::Time{1340}}) {
+    SCOPED_TRACE("restart at " + std::to_string(restart_at));
+    RestartWorld rw;
+    rw.enter_all();
+    const NodeId victim = rw.o3->runtime().node();
+    rw.w.at(1000, [&rw] { rw.o2->raise("boom"); });
+    rw.w.at(1250, [&rw, victim] { rw.w.crash(victim); });
+    rw.w.at(restart_at,
+            [&rw, victim] { rw.w.network().set_node_up(victim, true); });
+    rw.drive_completion();
+    rw.w.run();
+    ASSERT_FALSE(rw.o1->in_action());
+
+    const ActionInstanceId second = rw.o3_raises_in_a_new_instance();
+    const fault::OracleReport report = fault::check_invariants(rw.w, {});
+    EXPECT_TRUE(report.ok()) << report.summary();
+    for (const Participant* o : {rw.o1, rw.o2, rw.o3}) {
+      EXPECT_TRUE(std::any_of(o->handled().begin(), o->handled().end(),
+                              [second](const action::HandledRecord& r) {
+                                return r.instance == second;
+                              }))
+          << o->name() << " never handled O3's raise";
+    }
+    EXPECT_EQ(rw.w.metrics().value("caa.from_crashed_dropped"), 0);
   }
 }
 
@@ -179,7 +218,7 @@ TEST(FaultRestart, SurvivorsResolveANewRoundAfterAPeerRestarts) {
     }
     Participant* o2 = objects[1];
     const NodeId victim = objects[3]->runtime().node();
-    w.at(500, [&w, victim] { fault::FaultInjector::crash_node(w, victim); });
+    w.at(500, [&w, victim] { w.crash(victim); });
     w.at(800, [&w, victim] { w.network().set_node_up(victim, true); });
     // Acceptance fails at the survivors: the barrier (which waives O4)
     // restores attempt 1, a new round whose engines must still exclude O4.
@@ -250,7 +289,7 @@ TEST(FaultRestart, BelatedEntrantExcludesAPeerThatRestartedBeforeEntry) {
       for (int i = 0; i < 3; ++i) enter(objects[i]);
       w.at(3000, [&enter, o4 = objects[3]] { enter(o4); });
       const NodeId victim = objects[2]->runtime().node();
-      w.at(400, [&w, victim] { fault::FaultInjector::crash_node(w, victim); });
+      w.at(400, [&w, victim] { w.crash(victim); });
       w.at(600, [&w, victim] { w.network().set_node_up(victim, true); });
       w.at(raise_at, [o2 = objects[1]] { o2->raise("boom"); });
       w.at(9000, [o4 = objects[3]] { o4->raise("boom"); });

@@ -228,6 +228,37 @@ TEST(TxnIntegration, WaitDieYoungerVictimAborts) {
   EXPECT_EQ(t.world.metrics().value("txn.wait_die_victims"), 1);
 }
 
+// A wait-die victim that commits anyway aborts: the write it made before it
+// died is undone, and the commit reports the conflict.
+TEST(TxnIntegration, WaitDieVictimThatCommitsAborts) {
+  TxnWorld t;
+  const TxnId older = t.client.begin();
+  const TxnId younger = t.client2.begin();
+  Status younger_commit = Status::internal("unset");
+  t.world.at(0, [&] {
+    t.client.write(older, t.host.id(), "a", 1, [](Status s) {
+      ASSERT_TRUE(s.is_ok());
+    });
+  });
+  t.world.at(500, [&] {
+    t.client2.write(younger, t.host.id(), "b", 2, [&](Status s) {
+      ASSERT_TRUE(s.is_ok());
+      t.client2.write(younger, t.host.id(), "a", 3, [&](Status died) {
+        EXPECT_EQ(died.code(), StatusCode::kConflict);
+        t.client2.commit(younger, [&](Status s2) { younger_commit = s2; });
+      });
+    });
+  });
+  t.world.at(5000, [&] { t.client.commit(older, [](Status) {}); });
+  t.world.run();
+  EXPECT_EQ(younger_commit.code(), StatusCode::kConflict);
+  EXPECT_EQ(t.host.peek("a"), 1);
+  EXPECT_EQ(t.host.peek("b"), 200);
+  EXPECT_FALSE(t.host.has_locks(younger));
+  EXPECT_EQ(t.client2.commits(), 0);
+  EXPECT_EQ(t.client2.aborts(), 1);
+}
+
 TEST(TxnIntegration, OlderWaitsUntilYoungerFinishes) {
   TxnWorld t;
   const TxnId older = t.client.begin();

@@ -248,11 +248,7 @@ TEST(Watchdog, CrashedMemberIsReleasedNotReported) {
                                        ex::HandlerResult::recovered(100)))
                      .on_peer_crash(decl.tree().find("peer_crash"))));
   }
-  w.at(1050, [&] {
-    w.network().set_node_up(w.directory().address_of(o3.id()).node, false);
-    o1.notify_peer_crashed(o3.id());
-    o2.notify_peer_crashed(o3.id());
-  });
+  w.at(1050, [&] { w.crash(o3.runtime().node()); });
   for (Participant* o : {&o1, &o2}) {
     w.at(8000, [o] {
       if (o->in_action()) o->complete();

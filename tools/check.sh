@@ -160,6 +160,22 @@ if grep -nE 'std::set<ObjectId>[[:space:]]+[A-Za-z_]*(exclu|crash)|std::vector<O
 fi
 echo "engine, overlay and relay tree read the shared membership"
 
+# One crash path: a participant's crash knowledge (the peers it believes
+# down, its per-scope exclusion sets, the first-contact, restart and
+# stale-report rules) lives in caa::Membership (src/caa/membership.h), and
+# World::crash is the one place a crash is fanned out to the survivors. A
+# crash set or exclusion table back in Participant, or a second crash
+# fan-out, is a second copy of that knowledge.
+echo "==== one crash path grep gate =============================="
+if grep -nwE 'crashed_|exclusions_|exclusions_of' \
+    src/caa/participant.h src/caa/participant.cpp \
+  || grep -rnE --exclude=check.sh 'crash_node' src tests tools examples bench; then
+  echo "crash knowledge or a crash fan-out leaked out of its one place" >&2
+  echo "(keep it in caa::Membership; crash nodes with World::crash)" >&2
+  exit 1
+fi
+echo "crash knowledge lives in caa::Membership, crashes go through World::crash"
+
 # One intake for scoped messages: Participant sorts every scoped message
 # by one pure rule (action::classify, table-tested in caa_races_test),
 # keeps what it cannot deliver yet in one hold map, and feeds the
@@ -241,10 +257,11 @@ else
 fi
 
 # caa-report must keep rendering the committed telemetry format: the
-# timeline of the golden export is byte-stable, and the committed perf
-# record must compare clean against itself (the same gate PRs run against
-# a freshly regenerated BENCH_throughput.json — anything beyond 15% on a
-# checked deterministic metric fails).
+# timeline of the golden export is byte-stable, and a freshly regenerated
+# BENCH_throughput.json must compare clean against the committed perf
+# record — anything beyond 15% on a checked deterministic metric fails. The
+# fresh run uses the record's own repetitions, so merged histogram counts
+# compare like with like.
 echo "==== caa-report golden timeline + compare gate ============="
 if [ -n "${tooldir}" ] && [ -x "${tooldir}/caa-report" ]; then
   "${tooldir}/caa-report" tests/golden/timeseries_flat.json \
@@ -255,8 +272,12 @@ if [ -n "${tooldir}" ] && [ -x "${tooldir}/caa-report" ]; then
   fresh_bench=""
   if [ -x "${bench_dir}/bench/bench_throughput" ]; then
     fresh_bench="$(mktemp /tmp/BENCH_throughput.XXXXXX.json)"
-    "${bench_dir}/bench/bench_throughput" --reps 1 --json "${fresh_bench}" \
-      > /dev/null
+    reps="$(sed -n 's/^  "repetitions": \([0-9][0-9]*\),$/\1/p' \
+      BENCH_throughput.json)"
+    [ -n "${reps}" ] \
+      || { echo "BENCH_throughput.json records no repetitions" >&2; exit 1; }
+    "${bench_dir}/bench/bench_throughput" --reps "${reps}" \
+      --json "${fresh_bench}" > /dev/null
     "${tooldir}/caa-report" --compare BENCH_throughput.json "${fresh_bench}" \
       || { echo "fresh bench drifted >15% from the committed BENCH_throughput.json" >&2; exit 1; }
     rm -f "${fresh_bench}"
