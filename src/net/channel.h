@@ -30,42 +30,48 @@ struct LinkParams {
   static LinkParams lossy(double p) { return LinkParams{100, 20, 0, p, 0.0}; }
 };
 
-/// Per-ordered-pair channel state: enforces FIFO delivery by never
-/// scheduling a delivery earlier than the previously scheduled one.
-///
-/// On top of the static LinkParams, a channel can carry *windowed* fault
-/// overrides (src/fault/ chaos engine): until `drop_until`, packets are
-/// additionally dropped with `drop_permille`/1000 probability; until
-/// `latency_until`, every delivery pays `latency_extra` extra ticks. The
-/// drop boost is an integer permille so fault plans serialize and re-parse
-/// without floating-point round-trip drift.
-struct ChannelState {
+/// How one directed channel behaves: its LinkParams, the partition flag, and
+/// *windowed* fault overrides (src/fault/ chaos engine): until `drop_until`,
+/// packets are additionally dropped with `drop_permille`/1000 probability;
+/// until `latency_until`, every delivery pays `latency_extra` extra ticks.
+/// The drop boost is an integer permille so fault plans serialize and
+/// re-parse without floating-point round-trip drift.
+struct LinkState {
   LinkParams params;
-  Rng rng{0};
-  sim::Time last_delivery = 0;
   bool partitioned = false;
-  // Windowed fault overrides (Network::set_drop_window / set_latency_window).
   sim::Time drop_until = 0;
   std::uint32_t drop_permille = 0;
   sim::Time latency_until = 0;
   sim::Time latency_extra = 0;
+};
+
+/// What a packet advances on its ordered pair: the pair's RNG and the FIFO
+/// clamp (a delivery is never scheduled earlier than the previous one).
+/// `link` names the pair's LinkState; 0 is the shared defaults.
+struct ChannelState {
+  static constexpr std::uint32_t kFree = ~std::uint32_t{0};
+  Rng rng{0};
+  sim::Time last_delivery = 0;
+  std::uint32_t dst = kFree;  // destination node id; kFree marks a free slot
+  std::uint32_t link = 0;
 
   /// True when the drop-burst window additionally claims this packet.
-  bool burst_dropped(sim::Time now) {
-    return now < drop_until && drop_permille > 0 &&
-           rng.chance(static_cast<double>(drop_permille) / 1000.0);
+  bool burst_dropped(const LinkState& ls, sim::Time now) {
+    return now < ls.drop_until && ls.drop_permille > 0 &&
+           rng.chance(static_cast<double>(ls.drop_permille) / 1000.0);
   }
 
   /// Samples the delivery time for a packet of `bytes` sent at `now`,
   /// advancing FIFO state.
-  sim::Time sample_delivery_time(sim::Time now, std::size_t bytes) {
-    sim::Time lat = params.latency_base;
-    if (params.latency_jitter > 0) {
-      lat += static_cast<sim::Time>(
-          rng.below(static_cast<std::uint64_t>(params.latency_jitter) + 1));
+  sim::Time sample_delivery_time(const LinkState& ls, sim::Time now,
+                                 std::size_t bytes) {
+    sim::Time lat = ls.params.latency_base;
+    if (ls.params.latency_jitter > 0) {
+      lat += static_cast<sim::Time>(rng.below(
+          static_cast<std::uint64_t>(ls.params.latency_jitter) + 1));
     }
-    lat += params.per_byte * static_cast<sim::Time>(bytes);
-    if (now < latency_until) lat += latency_extra;  // latency-spike window
+    lat += ls.params.per_byte * static_cast<sim::Time>(bytes);
+    if (now < ls.latency_until) lat += ls.latency_extra;  // latency spike
     sim::Time at = now + lat;
     if (at < last_delivery) at = last_delivery;  // FIFO clamp
     last_delivery = at;

@@ -10,6 +10,16 @@ CounterId bytes_sent_id() {
   return id;
 }
 
+/// The slot holding `dst` in a channel row, or the free slot where it goes.
+ChannelState& probe(std::vector<ChannelState>& row, std::uint32_t dst) {
+  const std::size_t mask = row.size() - 1;
+  std::size_t i = dst & mask;
+  while (row[i].dst != dst && row[i].dst != ChannelState::kFree) {
+    i = (i + 1) & mask;
+  }
+  return row[i];
+}
+
 }  // namespace
 
 Network::Network(sim::Simulator& simulator, std::uint64_t seed)
@@ -36,6 +46,7 @@ void Network::add_node(NodeId node) {
   NodeState& state = nodes_[node.value()];
   CAA_CHECK_MSG(!state.registered, "node already registered");
   state.registered = true;
+  state.channels.resize(8);
 }
 
 void Network::set_endpoint(NodeId node, Handler handler) {
@@ -44,8 +55,15 @@ void Network::set_endpoint(NodeId node, Handler handler) {
   state->handler = std::move(handler);
 }
 
+void Network::set_default_link(LinkParams params) {
+  for (const NodeState& node : nodes_) {
+    CAA_CHECK_MSG(node.channel_count == 0, "set_default_link: channels exist");
+  }
+  links_[0].params = params;
+}
+
 void Network::set_link(NodeId src, NodeId dst, LinkParams params) {
-  channel(src, dst).params = params;
+  link(src, dst).params = params;
 }
 
 void Network::set_node_up(NodeId node, bool up) {
@@ -63,53 +81,54 @@ bool Network::node_up(NodeId node) const {
 }
 
 void Network::set_partitioned(NodeId a, NodeId b, bool partitioned) {
-  channel(a, b).partitioned = partitioned;
-  channel(b, a).partitioned = partitioned;
+  link(a, b).partitioned = partitioned;
+  link(b, a).partitioned = partitioned;
 }
 
 void Network::set_drop_window(NodeId src, NodeId dst, sim::Time until,
                               std::uint32_t permille) {
-  ChannelState& ch = channel(src, dst);
-  ch.drop_until = until;
-  ch.drop_permille = permille > 1000 ? 1000 : permille;
+  LinkState& ls = link(src, dst);
+  ls.drop_until = until;
+  ls.drop_permille = permille > 1000 ? 1000 : permille;
 }
 
 void Network::set_latency_window(NodeId src, NodeId dst, sim::Time until,
                                  sim::Time extra) {
-  ChannelState& ch = channel(src, dst);
-  ch.latency_until = until;
-  ch.latency_extra = extra;
+  LinkState& ls = link(src, dst);
+  ls.latency_until = until;
+  ls.latency_extra = extra;
 }
 
-ChannelState& Network::channel(NodeId src, NodeId dst) {
-  const std::size_t s = src.value();
-  const std::size_t d = dst.value();
-  if (s >= channels_.size()) {
-    channels_.resize(s + 1);
-    channels_init_.resize(s + 1);
+ChannelState& Network::channel(NodeState& node, NodeId src, NodeId dst) {
+  const std::uint32_t d = dst.value();
+  ChannelState* ch = &probe(node.channels, d);
+  if (ch->dst == d) [[likely]] return *ch;
+  if (4 * ++node.channel_count > 3 * node.channels.size()) {
+    std::vector<ChannelState> grown(2 * node.channels.size());
+    for (const ChannelState& used : node.channels) {
+      if (used.dst != ChannelState::kFree) probe(grown, used.dst) = used;
+    }
+    node.channels.swap(grown);
+    ch = &probe(node.channels, d);
   }
-  std::vector<ChannelState>& row = channels_[s];
-  std::vector<bool>& init = channels_init_[s];
-  if (d >= row.size()) {
-    // Plain d+1 growth: capacity still doubles under the hood, and sparse
-    // traffic patterns (a flat action's ACKs all target one raiser) only pay
-    // for the destinations a row actually reaches — eagerly sizing rows to
-    // the node count would construct N states per source up front.
-    row.resize(d + 1);
-    init.resize(d + 1, false);
+  ch->dst = d;
+  // Seed deterministically from the pair so behaviour does not depend on
+  // channel creation order.
+  ch->rng = Rng(seed_ ^ (static_cast<std::uint64_t>(src.value()) << 32) ^
+                (static_cast<std::uint64_t>(d) + 0x9e3779b97f4a7c15ULL));
+  return *ch;
+}
+
+LinkState& Network::link(NodeId src, NodeId dst) {
+  NodeState* node = node_state(src);
+  CAA_CHECK_MSG(node != nullptr && node_state(dst) != nullptr,
+                "link: unknown node");
+  ChannelState& ch = channel(*node, src, dst);
+  if (ch.link == 0) {
+    ch.link = static_cast<std::uint32_t>(links_.size());
+    links_.push_back(links_[0]);
   }
-  ChannelState& state = row[d];
-  if (!init[d]) [[unlikely]] {
-    init[d] = true;
-    state.params = default_params_;
-    // Seed deterministically from the pair so behaviour does not depend on
-    // channel creation order.
-    const std::uint64_t mix =
-        seed_ ^ (static_cast<std::uint64_t>(src.value()) << 32) ^
-        (static_cast<std::uint64_t>(dst.value()) + 0x9e3779b97f4a7c15ULL);
-    state.rng = Rng(mix);
-  }
-  return state;
+  return links_[ch.link];
 }
 
 void Network::count(CounterId id, std::int64_t bytes) {
@@ -118,7 +137,7 @@ void Network::count(CounterId id, std::int64_t bytes) {
 }
 
 void Network::send(Packet packet) {
-  const NodeState* src = node_state(packet.src.node);
+  NodeState* src = node_state(packet.src.node);
   CAA_CHECK_MSG(src != nullptr, "send: unknown src node");
   CAA_CHECK_MSG(node_state(packet.dst.node) != nullptr,
                 "send: unknown dst node");
@@ -161,9 +180,10 @@ void Network::send(Packet packet) {
     return;
   }
 
-  ChannelState& ch = channel(packet.src.node, packet.dst.node);
-  if (ch.partitioned || ch.rng.chance(ch.params.drop_probability) ||
-      ch.burst_dropped(simulator_.now())) {
+  ChannelState& ch = channel(*src, packet.src.node, packet.dst.node);
+  const LinkState& ls = links_[ch.link];
+  if (ls.partitioned || ch.rng.chance(ls.params.drop_probability) ||
+      ch.burst_dropped(ls, simulator_.now())) {
     count(kc.dropped);
     recorder.record_drop(static_cast<std::uint16_t>(packet.kind),
                          packet.src.node.value(), packet.cause);
@@ -171,8 +191,8 @@ void Network::send(Packet packet) {
     return;
   }
 
-  const bool duplicate = ch.rng.chance(ch.params.duplicate_probability);
-  const sim::Time at = ch.sample_delivery_time(simulator_.now(),
+  const bool duplicate = ch.rng.chance(ls.params.duplicate_probability);
+  const sim::Time at = ch.sample_delivery_time(ls, simulator_.now(),
                                                packet.size_on_wire());
   if (obs::Observability& o = simulator_.obs(); o.enabled()) {
     // The channel knows the delivery time at send; sampling here avoids
@@ -185,7 +205,7 @@ void Network::send(Packet packet) {
     count(kc.duplicated);
     Packet copy = packet;
     copy.payload = BytesPool::local().copy_of(packet.payload);
-    const sim::Time at2 = ch.sample_delivery_time(simulator_.now(),
+    const sim::Time at2 = ch.sample_delivery_time(ls, simulator_.now(),
                                                   copy.size_on_wire());
     simulator_.schedule_at(at2, [this, p = std::move(copy)]() mutable {
       deliver(std::move(p));

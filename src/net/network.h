@@ -31,8 +31,9 @@ class Network {
   /// Installs the packet handler for a node (its transport endpoint).
   void set_endpoint(NodeId node, Handler handler);
 
-  /// Default parameters for channels created lazily.
-  void set_default_link(LinkParams params) { default_params_ = params; }
+  /// Parameters of every channel without its own set_link. Call before
+  /// any channel exists: a channel reads them at each send.
+  void set_default_link(LinkParams params);
 
   /// Overrides parameters of one directed channel.
   void set_link(NodeId src, NodeId dst, LinkParams params);
@@ -118,11 +119,19 @@ class Network {
  private:
   struct NodeState {
     Handler handler;
+    // Outgoing channels keyed by destination id: slot dst & mask, linear
+    // probing, a power of two at most 3/4 full. Ids are dense, so a row
+    // follows the pairs in use and a broadcast in id order walks it in order.
+    std::vector<ChannelState> channels;
+    std::uint32_t channel_count = 0;
     bool up = true;
     bool registered = false;
   };
 
-  ChannelState& channel(NodeId src, NodeId dst);
+  /// The src->dst channel, seeded on first use.
+  ChannelState& channel(NodeState& node, NodeId src, NodeId dst);
+  /// Its own LinkState, copied from the defaults on the first write.
+  LinkState& link(NodeId src, NodeId dst);
   /// nullptr when the node was never add_node()ed.
   [[nodiscard]] NodeState* node_state(NodeId node);
   [[nodiscard]] const NodeState* node_state(NodeId node) const;
@@ -136,19 +145,13 @@ class Network {
   // Interned once at construction; recorded only while observability is on.
   obs::HistogramId delay_hist_;
   obs::HistogramId bytes_hist_;
-  LinkParams default_params_ = LinkParams::lan();
   // Direct-indexed by node id (Worlds assign dense sequential ids); every
   // packet probes src and dst state, so this was three hash lookups per
   // message as an unordered_map.
   std::vector<NodeState> nodes_;
-  // Channel state, direct-indexed [src][dst] by node id. Resolution rounds
-  // touch all ordered pairs, so the former std::map<pair, ChannelState>
-  // paid an O(log N^2) pointer-chasing lookup on every packet — at N=1024
-  // that lookup alone was ~37% of simulator wall time. Rows grow lazily;
-  // the parallel bitset distinguishes "never used" entries so lazily
-  // created channels still get their deterministic per-pair RNG seed.
-  std::vector<std::vector<ChannelState>> channels_;
-  std::vector<std::vector<bool>> channels_init_;
+  // LinkStates, written only by the link and fault setters. Entry 0 holds
+  // the defaults, which every channel without an entry of its own reads.
+  std::vector<LinkState> links_{LinkState{LinkParams::lan()}};
   // Managed-mode in-flight buffer (empty and untouched in sampled mode).
   struct Parked {
     std::uint64_t id;

@@ -22,16 +22,17 @@ void Histogram::record(std::int64_t value) {
 namespace {
 
 /// Shared bucket-scan percentile: smallest bucket upper bound covering
-/// >= q of `count` samples. `fallback` is returned when the scan runs off
-/// the end (numerically impossible for consistent data; max by convention).
+/// >= q of `count` samples, capped at the recorded max (a bucket's bound
+/// may lie past every sample in it; it is never below them, so the result
+/// is never below the min either). The scan cannot run off the end for
+/// consistent data; it returns max if it does.
 std::int64_t bucket_quantile(const std::int64_t* buckets, int n_buckets,
-                             std::int64_t count, std::int64_t fallback,
-                             double q) {
+                             std::int64_t count, std::int64_t max, double q) {
   CAA_CHECK_MSG(q >= 0.0 && q <= 1.0, "quantile_bound: q outside [0,1]");
   if (count == 0) return 0;
   // q=1 has the exact answer on hand — the recorded max — and the bucket
   // scan would only round it up to the bucket bound.
-  if (q >= 1.0) return fallback;
+  if (q >= 1.0) return max;
   const auto threshold =
       static_cast<std::int64_t>(q * static_cast<double>(count));
   std::int64_t seen = 0;
@@ -39,10 +40,10 @@ std::int64_t bucket_quantile(const std::int64_t* buckets, int n_buckets,
     seen += buckets[b];
     if (seen >= threshold && seen > 0) {
       // Upper bound of bucket b: values v with bit_width(v) == b.
-      return b == 0 ? 0 : (std::int64_t{1} << b) - 1;
+      return std::min(b == 0 ? 0 : (std::int64_t{1} << b) - 1, max);
     }
   }
-  return fallback;
+  return max;
 }
 
 }  // namespace

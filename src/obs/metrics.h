@@ -77,7 +77,8 @@ class Histogram {
                   : 0.0;
   }
   /// Smallest recorded-bucket upper bound covering >= q of the samples
-  /// (q in [0,1]); a coarse percentile adequate for run reports.
+  /// (q in [0,1]), clamped into [min, max]; a coarse percentile adequate
+  /// for run reports.
   [[nodiscard]] std::int64_t quantile_bound(double q) const;
 
   [[nodiscard]] std::string to_string() const;

@@ -5,9 +5,11 @@
 namespace caa::rt {
 
 ObjectId Directory::register_object(std::string name, NodeId node) {
-  CAA_CHECK_MSG(!find(name).valid(), "duplicate object name");
+  const ObjectId id(static_cast<std::uint32_t>(entries_.size()));
+  const bool fresh = index_.try_emplace(name, id).second;
+  CAA_CHECK_MSG(fresh, "duplicate object name");
   entries_.push_back(Entry{std::move(name), node});
-  return ObjectId(static_cast<std::uint32_t>(entries_.size() - 1));
+  return id;
 }
 
 net::Address Directory::address_of(ObjectId object) const {
@@ -21,12 +23,8 @@ const std::string& Directory::name_of(ObjectId object) const {
 }
 
 ObjectId Directory::find(std::string_view name) const {
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].name == name) {
-      return ObjectId(static_cast<std::uint32_t>(i));
-    }
-  }
-  return ObjectId::invalid();
+  const auto it = index_.find(std::string(name));
+  return it == index_.end() ? ObjectId::invalid() : it->second;
 }
 
 }  // namespace caa::rt

@@ -8,6 +8,7 @@
 
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "net/message.h"
@@ -36,6 +37,8 @@ class Directory {
     NodeId node;
   };
   std::vector<Entry> entries_;
+  // Name -> id, so the duplicate-name check does not scan every entry.
+  std::unordered_map<std::string, ObjectId> index_;
 };
 
 }  // namespace caa::rt

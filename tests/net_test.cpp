@@ -157,6 +157,142 @@ TEST(Network, CountsPerKind) {
   EXPECT_EQ(f.sim.obs().metrics().value("net.delivered.Exception"), 1);
 }
 
+// Every packet that lands, in landing order: who sent it, to whom, its tag
+// and the virtual time it landed.
+struct Landing {
+  std::uint32_t src = 0;
+  std::uint32_t dst = 0;
+  int tag = 0;
+  sim::Time at = 0;
+  friend bool operator==(const Landing&, const Landing&) = default;
+};
+
+struct LoggedNet {
+  sim::Simulator sim;
+  Network net{sim, 7};
+  std::vector<Landing> log;
+
+  LoggedNet(const std::vector<std::uint32_t>& ids, LinkParams link) {
+    net.set_default_link(link);
+    for (const std::uint32_t id : ids) {
+      net.add_node(NodeId(id));
+      net.set_endpoint(NodeId(id), [this, id](Packet&& p) {
+        log.push_back(Landing{p.src.node.value(), id,
+                              static_cast<int>(p.payload[0]), sim.now()});
+      });
+    }
+  }
+
+  void send(std::uint32_t from, std::uint32_t to, std::uint8_t tag) {
+    Packet p;
+    p.src = Address{NodeId(from), ObjectId(0)};
+    p.dst = Address{NodeId(to), ObjectId(1)};
+    p.kind = MsgKind::kAppData;
+    p.payload = Bytes{std::byte{tag}};
+    net.send(std::move(p));
+  }
+
+  [[nodiscard]] std::vector<Landing> on(std::uint32_t from,
+                                        std::uint32_t to) const {
+    std::vector<Landing> out;
+    for (const Landing& l : log) {
+      if (l.src == from && l.dst == to) out.push_back(l);
+    }
+    return out;
+  }
+};
+
+LinkParams jittery() {
+  LinkParams link;
+  link.latency_base = 50;
+  link.latency_jitter = 500;
+  link.duplicate_probability = 0.2;
+  return link;
+}
+
+TEST(Network, ChannelsDoNotDependOnFirstUseOrder) {
+  const std::vector<std::uint32_t> ids{0, 1, 2, 3};
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs{
+      {0, 1}, {1, 0}, {0, 2}, {2, 3}, {3, 0}, {1, 3}};
+  LoggedNet forward(ids, jittery());
+  LoggedNet backward(ids, jittery());
+  // The backward network meets three pairs first through setters whose
+  // values leave them as they were.
+  backward.net.set_link(NodeId(1), NodeId(3), jittery());
+  backward.net.set_drop_window(NodeId(2), NodeId(3), 1'000'000, 0);
+  backward.net.set_latency_window(NodeId(0), NodeId(1), 1'000'000, 0);
+  for (std::uint8_t round = 0; round < 8; ++round) {
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const auto [fs, fd] = pairs[i];
+      forward.send(fs, fd, round);
+      const auto [bs, bd] = pairs[pairs.size() - 1 - i];
+      backward.send(bs, bd, round);
+    }
+  }
+  forward.sim.run_to_quiescence();
+  backward.sim.run_to_quiescence();
+  for (const auto& [src, dst] : pairs) {
+    const std::vector<Landing> landed = forward.on(src, dst);
+    EXPECT_GE(landed.size(), 8u);
+    EXPECT_EQ(landed, backward.on(src, dst)) << src << "->" << dst;
+  }
+}
+
+TEST(Network, FifoHoldsWhileTheRowGrows) {
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t id = 0; id < 32; ++id) ids.push_back(id);
+  LoggedNet f(ids, jittery());
+  // Node 0 reaches 31 destinations, enough to regrow its row 8 -> 16 ->
+  // 32 -> 64, while one pair carries a packet between every new one.
+  for (std::uint8_t i = 0; i < 30; ++i) {
+    f.send(0, 1, i);
+    f.send(0, 2 + i, i);
+  }
+  f.sim.run_to_quiescence();
+  std::vector<int> order;
+  for (const Landing& l : f.on(0, 1)) {
+    if (order.empty() || order.back() != l.tag) order.push_back(l.tag);
+  }
+  ASSERT_EQ(order.size(), 30u);
+  for (int i = 0; i < 30; ++i) EXPECT_EQ(order[i], i);
+  for (std::uint32_t dst = 2; dst < 32; ++dst) {
+    EXPECT_FALSE(f.on(0, dst).empty()) << dst;
+  }
+}
+
+TEST(Network, CollidingDestinationsKeepTheirOwnStreams) {
+  // 0, 16, 32, 48 and the sparse 1000 all map to slot 0 of the source's
+  // eight-slot row; each must still run its own per-pair RNG stream.
+  const std::vector<std::uint32_t> dsts{0, 16, 32, 48, 1000};
+  std::vector<std::uint32_t> ids{5};
+  ids.insert(ids.end(), dsts.begin(), dsts.end());
+  LoggedNet shared(ids, jittery());
+  for (std::uint8_t round = 0; round < 6; ++round) {
+    for (const std::uint32_t dst : dsts) shared.send(5, dst, round);
+  }
+  shared.sim.run_to_quiescence();
+  for (const std::uint32_t dst : dsts) {
+    LoggedNet alone(ids, jittery());
+    for (std::uint8_t round = 0; round < 6; ++round) alone.send(5, dst, round);
+    alone.sim.run_to_quiescence();
+    EXPECT_EQ(shared.on(5, dst), alone.on(5, dst)) << dst;
+  }
+  // Distinct streams: two colliding pairs do not land at the same times.
+  const auto times = [](const std::vector<Landing>& landed) {
+    std::vector<sim::Time> out;
+    for (const Landing& l : landed) out.push_back(l.at);
+    return out;
+  };
+  EXPECT_NE(times(shared.on(5, 0)), times(shared.on(5, 16)));
+}
+
+TEST(NetworkDeathTest, DefaultLinkAfterAChannelExistsIsRejected) {
+  NetFixture f;
+  f.net.send(f.make(f.n0, f.n1));
+  EXPECT_DEATH(f.net.set_default_link(LinkParams::ideal()),
+               "channels exist");
+}
+
 TEST(ReliableTransport, DeliversInOrderOverLossyLink) {
   sim::Simulator simulator;
   Network net(simulator, 4242);

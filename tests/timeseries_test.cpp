@@ -261,6 +261,18 @@ TEST(Histogram, QuantileBoundEdgeCases) {
   const obs::HistogramSnapshot snap = h.snapshot();
   EXPECT_EQ(snap.quantile_bound(0.0), 3);
   EXPECT_EQ(snap.quantile_bound(1.0), 100);
+
+  // A bucket's upper bound can lie past every sample in it: 600 and 900
+  // share the [512, 1023] bucket, yet no quantile exceeds the max.
+  obs::Histogram wide;
+  wide.record(600);
+  wide.record(900);
+  EXPECT_EQ(wide.quantile_bound(0.5), 900);
+  EXPECT_EQ(wide.quantile_bound(0.99), 900);
+  EXPECT_EQ(wide.snapshot().quantile_bound(0.99), 900);
+  obs::Histogram one;
+  one.record(600);
+  EXPECT_EQ(one.quantile_bound(0.5), 600);
 }
 
 }  // namespace

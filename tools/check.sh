@@ -176,6 +176,19 @@ if grep -nwE 'crashed_|exclusions_|exclusions_of' \
 fi
 echo "crash knowledge lives in caa::Membership, crashes go through World::crash"
 
+# One channel table: each node keeps its outgoing channels in one
+# open-addressing row of the pairs in use (NodeState::channels in
+# src/net/network.h), and link parameters, partitions and fault windows
+# live in the LinkState side table. A dense [src][dst] table, or the bitset
+# that marked its unused slots, sizes channel state by N² again.
+echo "==== one channel table grep gate ==========================="
+if grep -rnE 'channels_init_|std::vector<std::vector<ChannelState>>' src/net; then
+  echo "a dense per-pair channel table is back in src/net" >&2
+  echo "(keep channels in the per-node rows of the pairs in use)" >&2
+  exit 1
+fi
+echo "channel state follows the pairs in use"
+
 # One intake for scoped messages: Participant sorts every scoped message
 # by one pure rule (action::classify, table-tested in caa_races_test),
 # keeps what it cannot deliver yet in one hold map, and feeds the
