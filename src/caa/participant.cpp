@@ -105,7 +105,29 @@ bool Participant::enter(ActionInstanceId instance, EnterConfig config) {
   // this member relays (and delivers) from the first envelope on.
   if (info.use_tree) join_overlay(info);
 
-  dyn.engine = make_engine(dyn, instance);
+  // The scope's one resolution engine: every later round opens in it
+  // (next_round). It lives and dies with the record its hooks bind to.
+  resolve::ResolverCore::Hooks hooks;
+  hooks.multicast = [this, &info](net::MsgKind kind, net::Bytes payload) {
+    multicast(info, kind, payload);
+  };
+  hooks.ack = [this, &info](ObjectId to, std::uint32_t round) {
+    send_ack(info, round, to);
+  };
+  hooks.abort_nested = [this, &info](std::function<void(ExceptionId)> done) {
+    abort_chain_until(info.instance, std::move(done));
+  };
+  hooks.start_handler = [this, &dyn](ExceptionId resolved) {
+    on_round_finished(dyn, resolved);
+  };
+  hooks.purge_nested_from = [this](ObjectId peer) { purge_held_from(peer); };
+  if (attached()) hooks.obs = &runtime().simulator().obs();
+  dyn.engine = std::make_unique<resolve::ResolverCore>(
+      id(), info.members, *dyn.excluded, &info.decl->tree(), instance,
+      dyn.round, std::move(hooks), dyn.config.resolver_committee);
+  if (manager_.debug_bugs().exclusion_divergence) {
+    dyn.engine->set_debug_keep_crashed(true);
+  }
   dyn.exit = dyn.config.exit_factory
                  ? dyn.config.exit_factory(*this, info)
                  : exit::make_exit_protocol(info.exit, *this, info);
@@ -152,8 +174,7 @@ void Participant::raise(ExceptionId exception, std::string message) {
   const ActionInstanceId scope = dyn.info->instance;
   wd_progress(scope);
   if (dyn.info->resolve_avoidance &&
-      ensure_avoidance(dyn, scope)
-          .try_fast_raise(exception, std::move(message))) {
+      ensure_avoidance(dyn).try_fast_raise(exception, std::move(message))) {
     return;  // suppressed: the census decides; the engine stays Normal
   }
   dyn.engine->raise(exception, std::move(message));
@@ -284,7 +305,7 @@ void Participant::on_scoped(ObjectId from, net::MsgKind kind,
     seen.entered = true;
     seen.aborting = dyn->aborting;
     seen.round = dyn->round;
-    // Not yet after a finish: the round bump installs it from a fresh event.
+    // Not yet after a finish: the engine opens the round from a fresh event.
     seen.engine_ready = dyn->engine->round() == dyn->round;
   }
   // Fail-stop: a crashed sender's resolution content is void, uniformly, so
@@ -324,7 +345,7 @@ void Participant::on_scoped(ObjectId from, net::MsgKind kind,
         ack_stale(*dyn, from, kind, round);
       } else if (const auto m = resolve::decode_fast_cover(payload);
                  m.is_ok()) {
-        ensure_avoidance(*dyn, scope).on_stale(from, m.value());
+        ensure_avoidance(*dyn).on_stale(from, m.value());
       }
       return;
     case Verdict::kDeliver:
@@ -334,7 +355,7 @@ void Participant::on_scoped(ObjectId from, net::MsgKind kind,
     deliver_to_engine(*dyn, kind, payload);
   } else if (kind == net::MsgKind::kFastCover) {
     if (const auto m = resolve::decode_fast_cover(payload); m.is_ok()) {
-      ensure_avoidance(*dyn, scope).on_message(from, m.value());
+      ensure_avoidance(*dyn).on_message(from, m.value());
     }
   } else if (kind == net::MsgKind::kActionLeave) {
     on_leave_msg(payload);
@@ -353,7 +374,7 @@ void Participant::ack_stale(const Dyn& dyn, ObjectId from, net::MsgKind kind,
       kind == net::MsgKind::kNestedCompleted) {
     send_ack(*dyn.info, round, from);
     if (obs::Observability* o = observing()) {
-      // The engine of `round` is gone; tabulate its stale ACK here so the
+      // The engine has left `round`; tabulate its stale ACK here so the
       // per-round table still accounts for every protocol send.
       o->metrics().note_protocol_send(dyn.info->instance, round,
                                       net::MsgKind::kAck, 1);
@@ -422,98 +443,42 @@ void Participant::purge_held_from(ObjectId peer) {
 // Resolution plumbing
 // ---------------------------------------------------------------------------
 
-resolve::AvoidanceCoordinator& Participant::ensure_avoidance(
-    Dyn& dyn, ActionInstanceId scope) {
+resolve::AvoidanceCoordinator& Participant::ensure_avoidance(Dyn& dyn) {
   if (dyn.avoidance != nullptr) return *dyn.avoidance;
+  const InstanceInfo& info = *dyn.info;
   resolve::AvoidanceCoordinator::Hooks hooks;
-  hooks.send = [this, scope](ObjectId to, net::Bytes payload) {
-    const Dyn* d = find_dyn(scope);
-    CAA_CHECK(d != nullptr);
-    unicast(*d->info, to, net::MsgKind::kFastCover, std::move(payload));
+  hooks.send = [this, &info](ObjectId to, net::Bytes payload) {
+    unicast(info, to, net::MsgKind::kFastCover, std::move(payload));
   };
-  hooks.multicast = [this, scope](const net::Bytes& payload) {
-    Dyn* d = find_dyn(scope);
-    CAA_CHECK(d != nullptr);
-    multicast(*d->info, net::MsgKind::kFastCover, payload);
+  hooks.multicast = [this, &info](const net::Bytes& payload) {
+    multicast(info, net::MsgKind::kFastCover, payload);
   };
-  hooks.round = [this, scope] {
-    const Dyn* d = find_dyn(scope);
-    CAA_CHECK(d != nullptr);
-    return d->round;
-  };
-  hooks.live_leader = [this, scope] {
-    const Dyn* d = find_dyn(scope);
-    CAA_CHECK(d != nullptr);
-    return live_leader(*d);
-  };
-  hooks.engine_normal = [this, scope] {
-    const Dyn* d = find_dyn(scope);
-    return d != nullptr &&
-           d->engine->state() == resolve::ResolverCore::State::kNormal;
-  };
-  hooks.answer_idle = [this, scope] {
-    const Dyn* d = find_dyn(scope);
-    if (d == nullptr || d->aborting || d->done_sent || d->handling) {
-      return false;
-    }
-    if (!d->excluded->empty()) return false;
+  hooks.live_leader = [this, &dyn] { return live_leader(dyn); };
+  hooks.answer_idle = [this, &dyn] {
     // The scope must be this participant's active context: a nested child
     // in flight needs the HaveNested/abortion machinery the census skips.
-    if (!is_active(scope)) return false;
-    return d->engine->state() == resolve::ResolverCore::State::kNormal;
+    return !dyn.aborting && !dyn.done_sent && !dyn.handling &&
+           dyn.excluded->empty() && is_active(dyn.info->instance) &&
+           dyn.engine->state() == resolve::ResolverCore::State::kNormal;
   };
-  hooks.apply_fast_commit = [this, scope](const resolve::CommitMsg& m) {
-    Dyn* d = find_dyn(scope);
-    CAA_CHECK(d != nullptr);
-    d->engine->apply_fast_commit(m);
-  };
-  hooks.apply_synced_commit = [this, scope](const resolve::CommitMsg& m) {
-    Dyn* d = find_dyn(scope);
-    CAA_CHECK(d != nullptr);
-    d->engine->apply_synced_commit(m);
-  };
-  hooks.replay_raise = [this, scope](ExceptionId e, std::string msg) {
-    Dyn* d = find_dyn(scope);
-    if (d == nullptr || d->aborting ||
-        d->engine->state() != resolve::ResolverCore::State::kNormal) {
+  hooks.replay_raise = [&dyn](ExceptionId e, std::string msg) {
+    if (dyn.aborting ||
+        dyn.engine->state() != resolve::ResolverCore::State::kNormal) {
       return;  // superseded meanwhile; the coordinator counted it stale
     }
     // raise_time keeps the original raise's timestamp: the fallback's
     // latency sample spans suppression AND the full exchange.
-    d->engine->raise(e, std::move(msg));
+    dyn.engine->raise(e, std::move(msg));
   };
-  hooks.schedule = [this, scope](sim::Time delay, std::function<void()> fn) {
+  hooks.schedule = [this, scope = info.instance](sim::Time delay,
+                                                 std::function<void()> fn) {
     run_guarded(scope, delay, std::move(fn));
   };
   dyn.avoidance = std::make_unique<resolve::AvoidanceCoordinator>(
-      id(), &dyn.info->members, dyn.excluded, &dyn.info->decl->tree(), scope,
+      id(), *dyn.engine, &info.members, dyn.excluded, &info.decl->tree(),
       std::move(hooks), &runtime().simulator().counters(),
       &runtime().simulator().obs().health());
   return *dyn.avoidance;
-}
-
-resolve::ResolverCore::Hooks Participant::make_hooks(ActionInstanceId scope) {
-  resolve::ResolverCore::Hooks hooks;
-  hooks.multicast = [this, scope](net::MsgKind kind, net::Bytes payload) {
-    Dyn* dyn = find_dyn(scope);
-    CAA_CHECK(dyn != nullptr);
-    multicast(*dyn->info, kind, payload);
-  };
-  hooks.ack = [this, scope](ObjectId to, std::uint32_t round) {
-    const Dyn* dyn = find_dyn(scope);
-    CAA_CHECK(dyn != nullptr);
-    send_ack(*dyn->info, round, to);
-  };
-  hooks.abort_nested = [this, scope](std::function<void(ExceptionId)> done) {
-    abort_chain_until(scope, std::move(done));
-  };
-  hooks.start_handler = [this, scope](ExceptionId resolved,
-                                      ObjectId resolver) {
-    on_round_finished(scope, resolved, resolver);
-  };
-  hooks.purge_nested_from = [this](ObjectId peer) { purge_held_from(peer); };
-  if (attached()) hooks.obs = &runtime().simulator().obs();
-  return hooks;
 }
 
 void Participant::multicast(const InstanceInfo& info, net::MsgKind kind,
@@ -609,37 +574,33 @@ void Participant::on_relay(ObjectId from, const net::Bytes& payload) {
   overlay_.on_envelope(from, payload);
 }
 
-void Participant::on_round_finished(ActionInstanceId scope,
-                                    ExceptionId resolved, ObjectId resolver) {
-  Dyn* dyn = find_dyn(scope);
-  CAA_CHECK(dyn != nullptr);
+void Participant::on_round_finished(Dyn& dyn, ExceptionId resolved) {
+  const ActionInstanceId scope = dyn.info->instance;
   wd_progress(scope);
-  // Remembered for CrashSync: if the resolver crashes right after deciding,
-  // this applied commit is what the survivors' barrier redistributes.
-  dyn->last_commit = resolve::CommitMsg{scope, dyn->round, resolver, resolved};
-  dyn->promote_pending = false;  // the round resolved; nothing to promote
-  if (dyn->raise_time >= 0) {
+  dyn.promote_pending = false;  // the round resolved; nothing to promote
+  if (dyn.raise_time >= 0) {
     // Raiser-side resolution latency (raise -> this round's commit), fed
     // into the campaign's merged percentile rows.
     obs::Metrics& metrics = runtime().simulator().obs().metrics();
     metrics.record(metrics.histogram("resolve.latency"),
-                   now() - dyn->raise_time);
-    dyn->raise_time = -1;
+                   now() - dyn.raise_time);
+    dyn.raise_time = -1;
   }
-  const std::uint32_t resolved_round = dyn->round;
-  ++dyn->round;  // subsequent messages of the old round become stale
-  dyn->handling = true;  // the handler takes over this participant's duties
+  const std::uint32_t resolved_round = dyn.round;
+  ++dyn.round;  // subsequent messages of the old round become stale
+  dyn.handling = true;  // the handler takes over this participant's duties
   // Census, promise and suppressed-raise state belonged to the finished
   // round (a suppressed raise is subsumed by the commit that finished it).
-  if (dyn->avoidance != nullptr) dyn->avoidance->on_round_finished();
-  // Replace the engine and run the handler from a fresh event: finish() is
-  // still on the stack of the old engine, which we must not destroy here.
+  if (dyn.avoidance != nullptr) dyn.avoidance->on_round_finished();
+  // Open the next round and run the handler from a fresh event: finish()
+  // is still on the engine's stack, and what its callers do next belongs
+  // to the finished round.
   schedule_after(0, [this, scope, resolved, resolved_round] {
     Dyn* d = find_dyn(scope);
     if (d == nullptr || d->aborting) return;  // aborted meanwhile
     // Supersedes an acceptance-line wait or a running handler, if any.
     record_lifecycle(obs::RecType::kTakeover, scope, resolved_round);
-    d->engine = make_engine(*d, scope);
+    d->engine->next_round(d->round);
     d->done_sent = false;  // the handler takes over and completes anew
     sync_caa_health();     // exit occupancy: the handler re-opened our part
     release_held(scope);
@@ -855,7 +816,7 @@ void Participant::apply_leave(const LeaveMsg& m) {
       dyn->handling = false;
       dyn->exit->on_restored();  // drop the previous attempt's pending Done
       ++dyn->round;  // a new attempt is a new protocol round
-      dyn->engine = make_engine(*dyn, m.scope);
+      dyn->engine->next_round(dyn->round);
       sync_caa_health();  // exit occupancy: the new attempt re-opened our part
       release_held(m.scope);
       if (dyn->config.body) {
@@ -904,20 +865,6 @@ void Participant::pop_context(ActionInstanceId scope) {
 // ---------------------------------------------------------------------------
 // Helpers
 // ---------------------------------------------------------------------------
-
-std::unique_ptr<resolve::ResolverCore> Participant::make_engine(
-    Dyn& dyn, ActionInstanceId scope) {
-  auto engine = std::make_unique<resolve::ResolverCore>(
-      id(), dyn.info->members, *dyn.excluded, &dyn.info->decl->tree(), scope,
-      dyn.round, make_hooks(scope), dyn.config.resolver_committee);
-  if (manager_.debug_bugs().exclusion_divergence) {
-    engine->set_debug_keep_crashed(true);
-  }
-  // A round bump mid-CrashSync: the fresh engine inherits the gate until
-  // the outstanding status replies drain.
-  if (!dyn.sync_waiting.empty()) engine->set_commit_gate(true);
-  return engine;
-}
 
 ObjectId Participant::live_leader(const Dyn& dyn) const {
   return exit::live_leader(*dyn.info, *dyn.excluded);
@@ -1089,7 +1036,7 @@ void Participant::on_crash_report(ObjectId peer,
     // the engine NOW, so the CrashSync barrier and the exit protocol's
     // decide re-evaluation below see settled (engine-held) state.
     if (dyn.avoidance != nullptr) dyn.avoidance->on_peer_crashed();
-    // Barrier before the engine's exclusion: the gate must be on before
+    // Barrier before the engine's exclusion: it must be syncing before
     // exclude_member's readiness re-check, or this object could commit from
     // its own partial view the instant the crashed member's ACK is waived.
     // The planted-bug flag (action::DebugBugs::exclusion_divergence) skips
@@ -1099,7 +1046,7 @@ void Participant::on_crash_report(ObjectId peer,
     dyn.engine->exclude_member(peer);
     // If an earlier barrier was still waiting on this peer, its reply will
     // never come — waive it (may complete that barrier).
-    if (!skip_sync) crash_sync_heard(instance, dyn, peer);
+    if (!skip_sync && dyn.engine->sync_heard(peer)) maybe_promote(instance);
     // Exit-side consequences (leader re-election, pending-Done re-announce,
     // quorum re-evaluation) belong to the scope's exit protocol. May decide
     // and tear the scope down; nothing touches `dyn` afterwards.
@@ -1149,7 +1096,7 @@ void Participant::on_crash_report(ObjectId peer,
 void Participant::maybe_promote(ActionInstanceId scope) {
   Dyn* dyn = find_dyn(scope);
   if (dyn == nullptr || !dyn->promote_pending) return;
-  if (!dyn->sync_waiting.empty()) return;  // barrier still draining
+  if (dyn->engine->syncing()) return;  // barrier still draining
   if (dyn->aborting || !is_active(scope) ||
       dyn->engine->state() == resolve::ResolverCore::State::kAborting) {
     // Not decidable yet (abortion running) or no longer applicable; a
@@ -1180,14 +1127,10 @@ resolve::CrashSyncMsg Participant::sync_status(
   // current round) or the last applied one (the previous round) — round
   // divergence among live members is at most 1, and a commit for a round
   // beyond a live member's current round cannot exist (its ACK is missing).
-  if (const auto& held = dyn.engine->held_commit(); held.has_value()) {
-    m.commit_round = held->round;
-    m.commit_resolver = held->resolver;
-    m.commit_resolved = held->resolved;
-  } else if (dyn.last_commit.has_value()) {
-    m.commit_round = dyn.last_commit->round;
-    m.commit_resolver = dyn.last_commit->resolver;
-    m.commit_resolved = dyn.last_commit->resolved;
+  if (const auto& commit = dyn.engine->known_commit(); commit.has_value()) {
+    m.commit_round = commit->round;
+    m.commit_resolver = commit->resolver;
+    m.commit_resolved = commit->resolved;
   }
   return m;
 }
@@ -1198,24 +1141,15 @@ void Participant::begin_crash_sync(ActionInstanceId scope, Dyn& dyn,
   for (ObjectId member : dyn.info->members) {
     if (member == id() || dyn.excluded->contains(member)) continue;
     live.push_back(member);
-    dyn.sync_waiting.insert(member);
+    dyn.engine->await_sync(member);
   }
-  if (dyn.sync_waiting.empty()) return;  // sole survivor: nothing to learn
-  dyn.engine->set_commit_gate(true);
+  if (!dyn.engine->syncing()) return;  // sole survivor: nothing to learn
   const net::Bytes payload = resolve::encode(
       sync_status(dyn, scope, crashed, resolve::CrashSyncMsg::Phase::kPush));
   for (ObjectId member : live) {
     send(member, net::MsgKind::kCrashSync,
          net::BytesPool::local().copy_of(payload));
   }
-}
-
-void Participant::crash_sync_heard(ActionInstanceId scope, Dyn& dyn,
-                                   ObjectId from) {
-  if (dyn.sync_waiting.erase(from) == 0) return;
-  if (!dyn.sync_waiting.empty()) return;
-  dyn.engine->set_commit_gate(false);
-  maybe_promote(scope);
 }
 
 void Participant::on_crash_sync(ObjectId from, const net::Bytes& payload) {
@@ -1273,8 +1207,9 @@ void Participant::on_crash_sync(ObjectId from, const net::Bytes& payload) {
                                        resolve::CrashSyncMsg::Phase::kReply)));
     }
   }
-  if (Dyn* current = find_dyn(m.scope); current != nullptr) {
-    crash_sync_heard(m.scope, *current, from);
+  if (Dyn* current = find_dyn(m.scope);
+      current != nullptr && current->engine->sync_heard(from)) {
+    maybe_promote(m.scope);
   }
 }
 
@@ -1409,8 +1344,7 @@ bool Participant::describe_scope(ActionInstanceId scope,
   std::vector<ObjectId> awaited;
   if (dyn.aborting) {
     report.phase = "aborting nested chain";
-  } else if (dyn.engine != nullptr &&
-             dyn.engine->state() != resolve::ResolverCore::State::kNormal) {
+  } else if (dyn.engine->state() != resolve::ResolverCore::State::kNormal) {
     report.phase =
         "resolve (" + std::string(resolve::to_string(dyn.engine->state())) +
         ", round " + std::to_string(dyn.round) + ")";

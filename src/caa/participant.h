@@ -9,7 +9,8 @@
 //
 // Implementation notes relative to the paper's pseudo-code:
 //  * SA_i is `stack_`, one record per entered scope; LE/LO/LP live inside
-//    one resolve::ResolverCore per scope per resolution round.
+//    the scope's one resolve::ResolverCore, built at entry, which opens
+//    each resolution round in turn and empties them when a round commits.
 //  * Rounds: the paper's "wait until all exception messages are handled" and
 //    list-emptying are made precise by tagging every protocol message with a
 //    round number. Stale-round Exception/NestedCompleted messages are still
@@ -213,7 +214,7 @@ struct ScopeSeen {
   bool entered = false;       // a context is open for it
   bool aborting = false;      // an outer resolution is aborting it
   std::uint32_t round = 0;    // its current round (entered only)
-  bool engine_ready = false;  // that round's engine is installed
+  bool engine_ready = false;  // the engine has opened that round
 };
 
 /// What becomes of one scoped message.
@@ -383,6 +384,10 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
     EnterConfig config;
     // This scope's exclusion set in membership_ (grows only).
     const std::set<ObjectId>* excluded = nullptr;
+    // The scope's resolution engine, built at entry: it holds LE/LO/LP of
+    // the current round, and the CrashSync barrier's waiting set and last
+    // applied commit across rounds. It lags `round` only between a commit
+    // and the zero-delay event that opens the next round in it.
     std::unique_ptr<resolve::ResolverCore> engine;
     std::uint32_t round = 0;
     std::uint32_t attempt = 0;
@@ -399,17 +404,11 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
     // (src/exit/): owns the Done collection state that used to be inlined
     // here. Created in enter(), retired (not destroyed) at pop_context.
     std::unique_ptr<exit::ExitProtocol> exit;
-    // Coordination-avoidance coordinator (src/resolve/avoidance.h).
-    // Created lazily, on the first fast raise or the first kFastCover
-    // delivered, so a scope that never sees a census pays nothing for it.
+    // Coordination-avoidance coordinator (src/resolve/avoidance.h), bound
+    // to `engine`. Created lazily, on the first fast raise or the first
+    // kFastCover delivered, so a scope that never sees a census pays
+    // nothing for it.
     std::unique_ptr<resolve::AvoidanceCoordinator> avoidance;
-    // CrashSync barrier (extension): the result of this participant's most
-    // recent finished round, advertised to survivors so a resolution the
-    // crashed resolver committed is not lost with it.
-    std::optional<resolve::CommitMsg> last_commit;
-    // Members whose CrashSync status has not been heard yet; while
-    // non-empty the engine's commit gate stays on.
-    std::set<ObjectId> sync_waiting;
     // A raise_from_suspended promotion deferred until the barrier drains
     // (the sync may surface a commit that makes promotion unnecessary).
     bool promote_pending = false;
@@ -437,10 +436,8 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   void on_crash_report(ObjectId peer, const Membership::Effects& effects);
 
   // Resolution plumbing.
-  resolve::ResolverCore::Hooks make_hooks(ActionInstanceId scope);
   /// The scope's avoidance coordinator, created on first use.
-  resolve::AvoidanceCoordinator& ensure_avoidance(Dyn& dyn,
-                                                  ActionInstanceId scope);
+  resolve::AvoidanceCoordinator& ensure_avoidance(Dyn& dyn);
   void multicast(const InstanceInfo& info, net::MsgKind kind,
                  const net::Bytes& payload);
   /// One member: along the relay tree in tree mode, direct otherwise.
@@ -451,16 +448,15 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   // Overlay dissemination (tree-mode scopes; src/overlay/).
   void join_overlay(const InstanceInfo& info);
   void on_relay(ObjectId from, const net::Bytes& payload);
-  void on_round_finished(ActionInstanceId scope, ExceptionId resolved,
-                         ObjectId resolver);
+  void on_round_finished(Dyn& dyn, ExceptionId resolved);
   void invoke_handler(ActionInstanceId scope, ExceptionId resolved,
                       std::uint32_t resolved_round);
 
   // CrashSync barrier (extension; see notify_peer_crashed): after excluding
   // a crashed member from `scope`, push our resolution status to every
-  // remaining live member and gate new commits until all have answered.
+  // remaining live member; the engine withholds new commits until all have
+  // answered (ResolverCore::await_sync / sync_heard).
   void begin_crash_sync(ActionInstanceId scope, Dyn& dyn, ObjectId crashed);
-  void crash_sync_heard(ActionInstanceId scope, Dyn& dyn, ObjectId from);
   [[nodiscard]] resolve::CrashSyncMsg sync_status(
       const Dyn& dyn, ActionInstanceId scope, ObjectId crashed,
       resolve::CrashSyncMsg::Phase phase) const;
@@ -513,8 +509,6 @@ class Participant : public rt::ManagedObject, private exit::ExitHost {
   void exit_deliver_leave(const LeaveMsg& m) override;
 
   // Helpers.
-  [[nodiscard]] std::unique_ptr<resolve::ResolverCore> make_engine(
-      Dyn& dyn, ActionInstanceId scope);
   [[nodiscard]] ObjectId live_leader(const Dyn& dyn) const;
   /// The scope's record, or nullptr when it is not entered here.
   [[nodiscard]] Dyn* find_dyn(ActionInstanceId scope) const;

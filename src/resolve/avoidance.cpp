@@ -19,15 +19,14 @@ const CounterId kCounterLatticeMisses = CounterId::of("resolve.lattice_misses");
 }  // namespace
 
 AvoidanceCoordinator::AvoidanceCoordinator(
-    ObjectId self, const std::vector<ObjectId>* members,
+    ObjectId self, ResolverCore& engine, const std::vector<ObjectId>* members,
     const std::set<ObjectId>* excluded, const ex::ExceptionTree* tree,
-    ActionInstanceId scope, Hooks hooks, Counters* counters,
-    obs::HealthGauges* health)
+    Hooks hooks, Counters* counters, obs::HealthGauges* health)
     : self_(self),
+      engine_(engine),
       members_(members),
       excluded_(excluded),
       tree_(tree),
-      scope_(scope),
       hooks_(std::move(hooks)),
       counters_(counters),
       health_(health) {
@@ -56,7 +55,7 @@ net::Bytes AvoidanceCoordinator::make(FastCoverMsg::Phase phase,
                                       ExceptionId exception, ExceptionId cover,
                                       std::uint32_t round) const {
   return encode(
-      FastCoverMsg{scope_, round, self_, phase, exception, cover});
+      FastCoverMsg{engine_.scope(), round, self_, phase, exception, cover});
 }
 
 std::size_t AvoidanceCoordinator::live_members() const {
@@ -79,12 +78,12 @@ bool AvoidanceCoordinator::try_fast_raise(ExceptionId exception,
   if (members_->size() < 2 || live_members() < 2) return false;
   const ExceptionId cover = tree_->universal_cover(exception);
   if (!cover.valid()) return false;
-  if (!hooks_.engine_normal()) return false;
+  if (!engine_normal()) return false;
 
   pending_ = true;
   pending_exception_ = exception;
   pending_message_ = std::move(message);
-  pending_round_ = hooks_.round();
+  pending_round_ = engine_.round();
   if (counters_ != nullptr) counters_->add(kCounterFastRaises);
 
   const ObjectId leader = hooks_.live_leader();
@@ -114,7 +113,7 @@ bool AvoidanceCoordinator::try_fast_raise(ExceptionId exception,
 void AvoidanceCoordinator::census_record(ObjectId member, Entry entry) {
   if (!census_active_) {
     census_active_ = true;
-    census_round_ = hooks_.round();
+    census_round_ = engine_.round();
   }
   census_[member] = entry;
   if (!probes_sent_ && !probe_armed_) {
@@ -217,13 +216,16 @@ void AvoidanceCoordinator::decide() {
                         ExceptionId::invalid(), round));
   // Own engine LAST (the Paxos self-delivery precedent): finishing the
   // round re-enters the owner, which must not observe a half-sent commit.
-  const CommitMsg commit{scope_, round, self_, resolved};
-  if (hooks_.engine_normal()) {
-    hooks_.apply_fast_commit(commit);
-  } else {
-    hooks_.apply_synced_commit(commit);
-  }
+  apply_commit(CommitMsg{engine_.scope(), round, self_, resolved});
   sync_health();
+}
+
+void AvoidanceCoordinator::apply_commit(const CommitMsg& commit) {
+  if (engine_normal()) {
+    engine_.apply_fast_commit(commit);
+  } else {
+    engine_.apply_synced_commit(commit);
+  }
 }
 
 void AvoidanceCoordinator::fall_back_census() {
@@ -242,7 +244,7 @@ void AvoidanceCoordinator::replay_suppressed() {
   pending_ = false;
   sync_health();
   if (counters_ != nullptr) counters_->add(kCounterFallbackReplays);
-  if (!hooks_.engine_normal()) {
+  if (!engine_normal()) {
     // A commit or exchange already superseded the suppressed raise — the
     // same fate a late raise meets in the full protocol.
     if (counters_ != nullptr) counters_->add(kCounterStale);
@@ -293,7 +295,7 @@ void AvoidanceCoordinator::on_stale(ObjectId from, const FastCoverMsg& m) {
 }
 
 void AvoidanceCoordinator::on_message(ObjectId from, const FastCoverMsg& m) {
-  if (m.round != hooks_.round()) return;  // the owner routes rounds; defensive
+  if (m.round != engine_.round()) return;  // the owner routes; defensive
   switch (m.phase) {
     case FastCoverMsg::Phase::kReport:
       census_record(from, Entry{Entry::Kind::kRaise, m.exception, m.cover});
@@ -349,16 +351,9 @@ void AvoidanceCoordinator::handle_commit(const FastCoverMsg& m) {
   promised_.reset();
   pending_ = false;  // subsumed: our report is folded into the commit
   sync_health();
-  const CommitMsg commit{scope_, m.round, m.sender, m.exception};
-  if (hooks_.engine_normal()) {
-    hooks_.apply_fast_commit(commit);
-  } else {
-    // A slow exchange (our replayed raise, or a non-commuting peer's)
-    // crossed the commit. The census decision still stands — apply it the
-    // way a CrashSync-carried commit is applied: held until this engine's
-    // own round obligations (ACKs) drain, then finishing identically.
-    hooks_.apply_synced_commit(commit);
-  }
+  // A slow exchange (our replayed raise, or a non-commuting peer's) may
+  // have crossed the commit; the census decision still stands.
+  apply_commit(CommitMsg{engine_.scope(), m.round, m.sender, m.exception});
 }
 
 }  // namespace caa::resolve

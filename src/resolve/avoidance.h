@@ -37,8 +37,10 @@
 // after the round closed is answered with kStale and replayed.
 //
 // The coordinator is pure decision logic over injected hooks (the
-// ResolverCore idiom): caa::Participant owns one per scope and forwards
-// messages; none of the classification lives in participant.cpp.
+// ResolverCore idiom) and the scope's engine, which it reads and commits
+// into directly: caa::Participant owns one per scope, beside that engine,
+// and forwards messages; none of the classification lives in
+// participant.cpp.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +54,7 @@
 #include "ex/exception_tree.h"
 #include "obs/health.h"
 #include "resolve/messages.h"
+#include "resolve/resolver_core.h"
 #include "sim/event_queue.h"
 #include "util/counters.h"
 
@@ -65,23 +68,14 @@ class AvoidanceCoordinator {
     std::function<void(ObjectId to, net::Bytes payload)> send;
     /// Multicast to every other member (flood in tree mode).
     std::function<void(const net::Bytes& payload)> multicast;
-    /// The scope's current resolution round at the owner.
-    std::function<std::uint32_t()> round;
     /// Lowest live member — the census leader (and relay-tree root).
     std::function<ObjectId()> live_leader;
-    /// Engine state is Normal (no protocol traffic this round).
-    std::function<bool()> engine_normal;
     /// This member may promise "kNoRaise": engine Normal, the scope is its
     /// active context (no nested children), not aborting, no handler
     /// running, not at the acceptance line, and no exclusions known.
     std::function<bool()> answer_idle;
-    /// Applies a census commit to a Normal engine
-    /// (ResolverCore::apply_fast_commit).
-    std::function<void(const CommitMsg&)> apply_fast_commit;
-    /// Applies a census commit when slow traffic crossed it
-    /// (ResolverCore::apply_synced_commit).
-    std::function<void(const CommitMsg&)> apply_synced_commit;
-    /// Replays a suppressed raise through the untouched engine.
+    /// Replays a suppressed raise through the untouched engine, unless the
+    /// owner's scope is aborting meanwhile.
     std::function<void(ExceptionId, std::string)> replay_raise;
     /// Guarded scheduling (maps to ManagedObject::schedule_after).
     std::function<void(sim::Time delay, std::function<void()> fn)> schedule;
@@ -94,13 +88,17 @@ class AvoidanceCoordinator {
   /// (N-1) commits, under the 2N bench gate.
   static constexpr sim::Time kProbeDelay = 250;
 
+  /// `engine` is the scope's resolution engine at this member: the
+  /// coordinator reads its round and state, and applies census commits to
+  /// it. It, `members`, `excluded` and `tree` must outlive the coordinator.
   /// `health` (optional) receives the census-open level
   /// (obs::Gauge::kResolveCensusOpen: open censuses + suppressed raises at
   /// this member); gauge pushes never touch `counters`.
-  AvoidanceCoordinator(ObjectId self, const std::vector<ObjectId>* members,
+  AvoidanceCoordinator(ObjectId self, ResolverCore& engine,
+                       const std::vector<ObjectId>* members,
                        const std::set<ObjectId>* excluded,
-                       const ex::ExceptionTree* tree, ActionInstanceId scope,
-                       Hooks hooks, Counters* counters,
+                       const ex::ExceptionTree* tree, Hooks hooks,
+                       Counters* counters,
                        obs::HealthGauges* health = nullptr);
   ~AvoidanceCoordinator();
 
@@ -138,7 +136,8 @@ class AvoidanceCoordinator {
   /// A member crash aborts any census: the raise set is no longer provably
   /// commutative and the leader may be the victim. Suppressed raises
   /// replay; an already-multicast census commit survives through the
-  /// owner's CrashSync barrier (last_commit redistribution).
+  /// owner's CrashSync barrier, which redistributes the engine's
+  /// known_commit().
   void on_peer_crashed();
 
   /// The round finished (any path): census, promise and suppressed-raise
@@ -179,14 +178,22 @@ class AvoidanceCoordinator {
                                 ExceptionId exception, ExceptionId cover,
                                 std::uint32_t round) const;
   [[nodiscard]] std::size_t live_members() const;
+  [[nodiscard]] bool engine_normal() const {
+    return engine_.state() == ResolverCore::State::kNormal;
+  }
+  /// Applies a census commit: straight into a Normal engine, or — when
+  /// slow traffic crossed the census — the way a CrashSync-carried commit
+  /// is applied, held until the engine's own round obligations (ACKs)
+  /// drain.
+  void apply_commit(const CommitMsg& commit);
   /// Re-derives the census-open gauge contribution and pushes the delta.
   void sync_health();
 
   ObjectId self_;
+  ResolverCore& engine_;
   const std::vector<ObjectId>* members_;   // sorted, includes self
   const std::set<ObjectId>* excluded_;     // owner's per-scope exclusions
   const ex::ExceptionTree* tree_;
-  ActionInstanceId scope_;
   Hooks hooks_;
   Counters* counters_ = nullptr;
   obs::HealthGauges* health_ = nullptr;

@@ -41,12 +41,26 @@ ResolverCore::ResolverCore(ObjectId self,
 }
 
 ResolverCore::~ResolverCore() {
-  // A superseded engine retracts its gauge contributions so world-level
-  // levels stay exact.
+  // An engine whose scope goes mid-round retracts its gauge contributions
+  // so world-level levels stay exact.
   if (obs::HealthGauges* h = health(); h != nullptr) {
     h->add(obs::Gauge::kResolveActiveRounds, -active_gauge_);
     h->add(obs::Gauge::kResolveOutstandingAcks, -acks_gauge_);
   }
+}
+
+void ResolverCore::next_round(std::uint32_t round) {
+  CAA_CHECK_MSG(state_ == State::kHandling || state_ == State::kNormal,
+                "next_round(): the round is not settled");
+  CAA_CHECK(le_.empty() && raisers_.empty() && queued_.empty() &&
+            acks_live_ == 0 && lo_pending_ == 0);
+  round_ = round;
+  state_ = State::kNormal;
+  awaiting_acks_ = false;
+  pending_commit_.reset();
+  // An all-raise round leaves N entries' worth of LE capacity behind.
+  std::vector<ex::Exception>().swap(le_);
+  sync_health();
 }
 
 obs::HealthGauges* ResolverCore::health() const {
@@ -394,11 +408,15 @@ void ResolverCore::exclude_member(ObjectId peer) {
   sync_health();
 }
 
-void ResolverCore::set_commit_gate(bool gated) {
-  if (commit_gated_ == gated) return;
-  commit_gated_ = gated;
-  if (!gated) maybe_ready();
+void ResolverCore::await_sync(ObjectId member) {
+  awaiting_sync_.insert(member);
+}
+
+bool ResolverCore::sync_heard(ObjectId member) {
+  if (awaiting_sync_.erase(member) == 0 || syncing()) return false;
+  maybe_ready();
   sync_health();
+  return true;
 }
 
 void ResolverCore::maybe_ready() {
@@ -409,8 +427,9 @@ void ResolverCore::maybe_ready() {
       finish(*pending_commit_);
       return;
     }
-    // Already Ready: a late exclusion or an ungated commit gate may have
-    // turned this object into the resolver, or a commit may have arrived.
+    // Already Ready: a late exclusion or a drained CrashSync barrier may
+    // have turned this object into the resolver, or a commit may have
+    // arrived.
     if (state_ == State::kReady) ready_actions();
     return;
   }
@@ -428,7 +447,7 @@ void ResolverCore::ready_actions() {
     finish(*pending_commit_);
     return;
   }
-  if (commit_gated_) return;  // withhold new commits until the sync is done
+  if (syncing()) return;  // withhold new commits until the sync is done
   if (self_in_committee()) {
     // §4.2: the object with the biggest number among the raisers resolves
     // (generalized to the top-`committee_` live raisers, §4.4 extension).
@@ -449,7 +468,7 @@ void ResolverCore::finish(const CommitMsg& m) {
   CAA_CHECK_MSG(state_ != State::kNormal,
                 "commit delivered to a Normal object");
   state_ = State::kHandling;
-  resolved_ = m.resolved;
+  last_commit_ = m;
   // The terminal record the critical-path extractor walks back from: its
   // causal ancestry is exactly the message chain that completed the round.
   record_flight(obs::RecType::kResolved, m.resolved.value());
@@ -460,7 +479,7 @@ void ResolverCore::finish(const CommitMsg& m) {
   acks_live_ = 0;
   lo_pending_ = 0;
   raisers_.clear();
-  hooks_.start_handler(m.resolved, m.resolver);
+  hooks_.start_handler(m.resolved);
 }
 
 }  // namespace caa::resolve

@@ -1,6 +1,7 @@
 // The distributed exception-resolution state machine of §4.2 — the paper's
-// primary contribution — for ONE participant in ONE action instance during
-// ONE resolution round.
+// primary contribution — for ONE participant in ONE action instance, from
+// its entry to its exit: one engine per scope, in which each resolution
+// round opens in turn (next_round).
 //
 // The engine is pure protocol logic: every message comes in through one
 // entry point, on_message (decode_protocol turns a packet into its
@@ -21,15 +22,19 @@
 //                    real handler durations it is asynchronous)
 //   kHandling    —  terminal for the round: Commit processed, handler started
 //
-// Data mapping: le_ = LE_i, lo_state_ = LO_i, acked_ = LP_i. (SA_i, the
+// Data mapping: le_ = LE_i, lo_state_ = LO_i, acked_ = LP_i, emptied when a
+// round commits ("empty LE_i, LO_i, LP_i; start handler for E"). (SA_i, the
 // context stack, lives in caa::Participant, which owns one engine per
 // context.) LO_i and LP_i are keyed by member rank in the sorted group list
 // rather than stored as node-based containers: the protocol touches them
 // once per incoming message, and a byte-per-member array costs a rank
 // lookup instead of a rb-tree allocation on that path. G_A and the crashed
 // members are not the engine's own: it reads the instance's member list and
-// its owner's per-scope exclusion set by reference, so the engine of every
-// round sees every exclusion the scope has recorded.
+// its owner's per-scope exclusion set by reference, so every round sees
+// every exclusion the scope has recorded. The owner's CrashSync barrier
+// (crash-tolerance extension) keeps its two facts here, because they
+// outlive rounds: the members whose status is still awaited, and the last
+// commit this engine applied.
 #pragma once
 
 #include <cstdint>
@@ -68,8 +73,9 @@ class ResolverCore {
     /// exception the *directly* nested action's abortion handler signalled,
     /// or invalid if none. Asynchronous: may complete after simulated time.
     std::function<void(std::function<void(ExceptionId)> done)> abort_nested;
-    /// Starts this participant's handler for the resolved exception.
-    std::function<void(ExceptionId resolved, ObjectId resolver)> start_handler;
+    /// The round committed: starts this participant's handler for the
+    /// resolved exception.
+    std::function<void(ExceptionId resolved)> start_handler;
     /// §4.2 "clean up messages related to nested actions": peer announced
     /// HaveNested, so its buffered messages scoped to nested actions are
     /// obsolete.
@@ -85,7 +91,8 @@ class ResolverCore {
   /// `members` is the action's InstanceInfo list (G_A; sorted and
   /// duplicate-free, not re-checked), including `self` — the §4.1 total
   /// order. `excluded` is the owner's set of crashed members of this scope
-  /// (never `self`). Both must outlive the engine.
+  /// (never `self`). Both must outlive the engine. `round` is the first
+  /// round; next_round opens each later one.
   ///
   /// `committee` implements the paper's fault-tolerance extension ("the
   /// algorithm can be easily extended to the use of a group of objects that
@@ -100,9 +107,16 @@ class ResolverCore {
                const ex::ExceptionTree* tree, ActionInstanceId scope,
                std::uint32_t round, Hooks hooks, std::uint32_t committee = 1);
 
-  /// Retracts this engine's health-gauge contributions (a superseded round
-  /// must not leave the world-level levels raised).
+  /// Retracts this engine's health-gauge contributions (a scope that goes
+  /// mid-round must not leave the world-level levels raised).
   ~ResolverCore();
+
+  /// Opens `round`. The previous round must be settled: Handling (it
+  /// committed), or still Normal when backward recovery retries the
+  /// attempt. The lists were emptied at the commit; this also gives LE's
+  /// storage back and drops the held commit. The CrashSync barrier and the
+  /// last applied commit carry over.
+  void next_round(std::uint32_t round);
 
   /// Crash-tolerance extension (fail-stop model): `peer` has just been
   /// added to the exclusion set. From then on the member no longer counts
@@ -116,22 +130,28 @@ class ResolverCore {
   /// owner's CrashSync barrier, not by LE).
   void exclude_member(ObjectId peer);
 
-  /// Crash-tolerance extension: while gated, this engine reaches Ready but
-  /// withholds *creating* a Commit (committee self-resolution) until the
-  /// owner's CrashSync barrier completes; applying a received or synced
-  /// commit stays allowed. Ungating re-evaluates readiness immediately.
-  void set_commit_gate(bool gated);
+  /// Crash-tolerance extension, the owner's CrashSync barrier: `member`'s
+  /// status is awaited. While any is (syncing()), this engine reaches Ready
+  /// but withholds *creating* a Commit (committee self-resolution);
+  /// applying a received or synced commit stays allowed.
+  void await_sync(ObjectId member);
+  /// `member`'s status arrived, or it crashed. True iff that drained the
+  /// barrier, which re-evaluates readiness at once; false when `member`
+  /// was not awaited or others still are.
+  bool sync_heard(ObjectId member);
+  [[nodiscard]] bool syncing() const { return !awaiting_sync_.empty(); }
 
   /// Test-only (action::DebugBugs::exclusion_divergence): keep a crashed
   /// member's exceptions in LE and accept its belated deliveries, restoring
   /// the pre-PR 5 divergence hole the systematic explorer must rediscover.
   void set_debug_keep_crashed(bool on) { debug_keep_crashed_ = on; }
 
-  /// A commit received while Exceptional and held until Ready. The owner's
-  /// CrashSync push advertises it so a resolution decided just before a
-  /// crash survives the crash.
-  [[nodiscard]] const std::optional<CommitMsg>& held_commit() const {
-    return pending_commit_;
+  /// The commit this member vouches for: the one held while Exceptional
+  /// (until Ready), else the last one applied. The owner's CrashSync status
+  /// advertises it, so a resolution decided just before a crash survives
+  /// the crash.
+  [[nodiscard]] const std::optional<CommitMsg>& known_commit() const {
+    return pending_commit_.has_value() ? pending_commit_ : last_commit_;
   }
 
   /// Applies a commit learned through the CrashSync barrier. Unlike a
@@ -144,7 +164,7 @@ class ResolverCore {
   /// commit decided by a unanimous leader census. The engine must still be
   /// Normal — a fast round, by construction, exchanges none of the five
   /// protocol messages, so the engine wakes from Normal straight into the
-  /// handler. If slow traffic crossed the census the owner replays the
+  /// handler. If slow traffic crossed the census the coordinator replays the
   /// suppressed raise first and applies via apply_synced_commit instead.
   void apply_fast_commit(const CommitMsg& m);
 
@@ -184,17 +204,11 @@ class ResolverCore {
   /// both match). Queued while abortion handlers run.
   void on_message(const ProtocolMsg& m);
 
-  /// True once the round finished (handler started).
-  [[nodiscard]] bool finished() const { return state_ == State::kHandling; }
-
   /// Members this engine is still waiting on: live peers whose ACK has not
   /// arrived (while one is awaited) plus peers with a pending nested
   /// completion. Empty for a round that cannot stall. The liveness
   /// watchdog's "awaiting" list.
   [[nodiscard]] std::vector<ObjectId> awaited_members() const;
-
-  /// Resolution result, valid once finished().
-  [[nodiscard]] ExceptionId resolved() const { return resolved_; }
 
  private:
   void process(const ProtocolMsg& m);
@@ -216,7 +230,8 @@ class ResolverCore {
   void suspend_if_normal();
   void maybe_ready();
   /// Runs the Ready-state obligations: apply a held commit, or — unless the
-  /// commit gate is on — self-resolve when this object is in the committee.
+  /// CrashSync barrier is syncing — self-resolve when this object is in the
+  /// committee.
   void ready_actions();
   void finish(const CommitMsg& m);
 
@@ -261,12 +276,13 @@ class ResolverCore {
   std::size_t lo_pending_ = 0;
   std::set<ObjectId> raisers_;
   bool awaiting_acks_ = false;  // we multicast Exception or NestedCompleted
-  bool commit_gated_ = false;   // CrashSync barrier in progress (extension)
-  std::optional<CommitMsg> pending_commit_;
+  std::optional<CommitMsg> pending_commit_;  // held until Ready (this round)
+  std::optional<CommitMsg> last_commit_;     // the last one finish() applied
+  // CrashSync barrier (extension): members whose status is still awaited.
+  std::set<ObjectId> awaiting_sync_;
   std::vector<ProtocolMsg> queued_;  // messages deferred while kAborting
-  ExceptionId resolved_;
   // This engine's last-pushed gauge contributions (so deltas are exact and
-  // the destructor can retract them when a round is superseded).
+  // the destructor can retract them when the scope goes mid-round).
   std::int64_t active_gauge_ = 0;
   std::int64_t acks_gauge_ = 0;
 };

@@ -3,6 +3,7 @@
 // shuttles encoded messages between engines in FIFO order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <set>
 
@@ -53,7 +54,7 @@ struct Bus {
         ++aborted[i];
         done(abort_signal);
       };
-      hooks.start_handler = [this, i](ExceptionId resolved, ObjectId) {
+      hooks.start_handler = [this, i](ExceptionId resolved) {
         handled[i] = resolved;
       };
       engines.push_back(std::make_unique<ResolverCore>(
@@ -81,7 +82,24 @@ struct Bus {
   void run() {
     while (!queue.empty()) deliver_one();
   }
+
+  /// run(), returning the wires in delivery order.
+  std::vector<Wire> drain() {
+    std::vector<Wire> delivered;
+    while (!queue.empty()) {
+      delivered.push_back(queue.front());
+      deliver_one();
+    }
+    return delivered;
+  }
 };
+
+std::size_t count_kind(const std::vector<Bus::Wire>& wires,
+                       net::MsgKind kind) {
+  return static_cast<std::size_t>(
+      std::count_if(wires.begin(), wires.end(),
+                    [kind](const Bus::Wire& w) { return w.kind == kind; }));
+}
 
 TEST(ResolverCore, SingleMemberResolvesImmediately) {
   ex::ExceptionTree tree = ex::shapes::star(2);
@@ -240,6 +258,119 @@ TEST(ResolverCore, CommitHeldUntilReady) {
   bus.engines[0]->on_message(AckMsg{ActionInstanceId(1), 0, ObjectId(2)});
   EXPECT_EQ(bus.engines[0]->state(), State::kHandling);
   EXPECT_EQ(bus.handled[0], tree.root());
+}
+
+// ---- One engine per scope: rounds open in the same engine ----------------
+
+TEST(ResolverCoreRounds, NextRoundResolvesLikeAFreshEngine) {
+  ex::ExceptionTree tree = ex::shapes::star(3);
+  Bus reused(3, &tree);
+  reused.engines[0]->raise(tree.find("s1"));
+  reused.engines[1]->raise(tree.find("s2"));
+  reused.run();
+  for (auto& engine : reused.engines) {
+    ASSERT_EQ(engine->state(), State::kHandling);
+    engine->next_round(1);
+    EXPECT_EQ(engine->state(), State::kNormal);
+    EXPECT_EQ(engine->round(), 1u);
+    EXPECT_TRUE(engine->exceptions().empty());
+  }
+  // The same second raise set, in the reused engines and in engines built
+  // at round 1, must produce the same wires, byte for byte.
+  Bus fresh(3, &tree, ActionInstanceId(1), 1);
+  for (Bus* bus : {&reused, &fresh}) {
+    bus->engines[2]->raise(tree.find("s3"));
+    bus->engines[0]->raise(tree.find("s1"));
+  }
+  const std::vector<Bus::Wire> again = reused.drain();
+  const std::vector<Bus::Wire> first = fresh.drain();
+  EXPECT_EQ(count_kind(again, net::MsgKind::kCommit), 1u);
+  EXPECT_EQ(count_kind(again, net::MsgKind::kAck), 4u);
+  EXPECT_EQ(count_kind(first, net::MsgKind::kCommit), 1u);
+  EXPECT_EQ(count_kind(first, net::MsgKind::kAck), 4u);
+  ASSERT_EQ(again.size(), first.size());
+  for (std::size_t i = 0; i < again.size(); ++i) {
+    EXPECT_EQ(again[i].from, first[i].from) << "wire " << i;
+    EXPECT_EQ(again[i].to, first[i].to) << "wire " << i;
+    EXPECT_EQ(again[i].kind, first[i].kind) << "wire " << i;
+    EXPECT_EQ(again[i].payload, first[i].payload) << "wire " << i;
+  }
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(reused.handled[i], tree.root()) << "engine " << i;
+    EXPECT_EQ(fresh.handled[i], tree.root()) << "engine " << i;
+  }
+}
+
+TEST(ResolverCoreDeathTest, NextRoundOnAnUnsettledRoundDies) {
+  ex::ExceptionTree tree = ex::shapes::star(2);
+  Bus bus(2, &tree);
+  bus.engines[0]->raise(tree.find("s1"));
+  ASSERT_EQ(bus.engines[0]->state(), State::kExceptional);
+  EXPECT_DEATH(bus.engines[0]->next_round(1), "not settled");
+}
+
+TEST(ResolverCoreRounds, CrashSyncBarrierWithholdsCommitsAcrossRounds) {
+  ex::ExceptionTree tree = ex::shapes::star(3);
+  Bus bus(3, &tree);
+  ResolverCore& engine = *bus.engines[2];
+  engine.await_sync(ObjectId(0));
+  engine.await_sync(ObjectId(1));
+  EXPECT_TRUE(engine.syncing());
+  // Round 0: applying a commit someone else made stays allowed while
+  // syncing.
+  bus.engines[0]->raise(tree.find("s1"));
+  bus.run();
+  EXPECT_EQ(engine.state(), State::kHandling);
+  EXPECT_EQ(bus.handled[2], tree.find("s1"));
+  for (auto& e : bus.engines) e->next_round(1);
+  EXPECT_TRUE(engine.syncing());  // the barrier survives the round
+
+  // Round 1: engine 2, the only raiser and so the committee, gets every
+  // ACK but withholds its Commit while the barrier waits.
+  engine.raise(tree.find("s3"));
+  const std::vector<Bus::Wire> wires = bus.drain();
+  EXPECT_EQ(count_kind(wires, net::MsgKind::kAck), 2u);
+  EXPECT_EQ(count_kind(wires, net::MsgKind::kCommit), 0u);
+  EXPECT_EQ(engine.state(), State::kReady);
+
+  EXPECT_FALSE(engine.sync_heard(ObjectId(0)));  // member 1 still awaited
+  EXPECT_FALSE(engine.sync_heard(ObjectId(0)));  // no longer awaited
+  EXPECT_EQ(engine.state(), State::kReady);
+  EXPECT_TRUE(engine.sync_heard(ObjectId(1)));  // drains: Commit released
+  EXPECT_FALSE(engine.syncing());
+  EXPECT_EQ(engine.state(), State::kHandling);
+  ASSERT_EQ(bus.queue.size(), 1u);
+  EXPECT_EQ(bus.queue.front().kind, net::MsgKind::kCommit);
+  bus.run();
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(bus.handled[i], tree.find("s3")) << "engine " << i;
+  }
+}
+
+TEST(ResolverCoreRounds, KnownCommitIsTheHeldOneThenTheLastApplied) {
+  ex::ExceptionTree tree = ex::shapes::star(3);
+  Bus bus(3, &tree);
+  ResolverCore& engine = *bus.engines[0];
+  EXPECT_FALSE(engine.known_commit().has_value());
+  engine.raise(tree.find("s1"));
+  engine.on_message(
+      ExceptionMsg{ActionInstanceId(1), 0, ObjectId(2), tree.find("s3")});
+  engine.on_message(
+      CommitMsg{ActionInstanceId(1), 0, ObjectId(2), tree.root()});
+  ASSERT_EQ(engine.state(), State::kExceptional);  // held until Ready
+  ASSERT_TRUE(engine.known_commit().has_value());
+  EXPECT_EQ(engine.known_commit()->resolver, ObjectId(2));
+  EXPECT_EQ(engine.known_commit()->resolved, tree.root());
+
+  engine.on_message(AckMsg{ActionInstanceId(1), 0, ObjectId(1)});
+  engine.on_message(AckMsg{ActionInstanceId(1), 0, ObjectId(2)});
+  ASSERT_EQ(engine.state(), State::kHandling);
+  engine.next_round(1);
+  // Nothing is held in round 1: the status advertises round 0's commit.
+  ASSERT_TRUE(engine.known_commit().has_value());
+  EXPECT_EQ(engine.known_commit()->round, 0u);
+  EXPECT_EQ(engine.known_commit()->resolver, ObjectId(2));
+  EXPECT_EQ(engine.known_commit()->resolved, tree.root());
 }
 
 TEST(ResolverCore, MessagesRoundTripThroughWireFormat) {

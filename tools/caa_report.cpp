@@ -6,9 +6,11 @@
 //   caa-report --compare A.json B.json [--threshold 0.15]
 //       Diffs every numeric leaf of two reports (telemetry exports or
 //       BENCH_*.json files). Wall-clock figures (*_ms, *_per_sec, speedup,
-//       threads, nproc, repetitions) are machine-dependent and excluded.
-//       Leaves drifting beyond the threshold — or present in A but gone in
-//       B — fail the gate.
+//       speedup_at_nproc, threads, nproc, repetitions) are
+//       machine-dependent and excluded. Numeric leaves drifting beyond the
+//       threshold, flags (booleans) or checksums (string leaves whose key
+//       ends in "checksum") that differ, and leaves present in A but gone
+//       in B fail the gate. Other strings are labels and stay unchecked.
 //
 // Exit codes: 0 ok, 1 regression or unreadable input, 2 usage error.
 #include <cmath>
@@ -51,19 +53,31 @@ bool excluded_key(const std::string& key) {
   };
   // Format revisions are metadata, not metrics: a schema bump must not
   // read as a perf regression.
-  return key == "wall_ms" || key == "speedup" || key == "threads" ||
-         key == "nproc" || key == "repetitions" || key == "schema_version" ||
+  return key == "wall_ms" || key == "speedup" ||
+         key == "speedup_at_nproc" || key == "threads" || key == "nproc" ||
+         key == "repetitions" || key == "schema_version" ||
          key == "version" || ends_with("_ms") || ends_with("_per_sec");
 }
 
-/// Flattens every numeric leaf into path -> value. Array elements are
-/// labelled by their "config" / "name" / "index" member when present, so
-/// paths stay stable under row reordering.
-void flatten(const JsonValue& value, const std::string& path,
-             std::map<std::string, double>& out) {
+/// The gated leaves of one report, keyed by path.
+struct Leaves {
+  std::map<std::string, double> numbers;     // drift-checked
+  std::map<std::string, std::string> exact;  // flags and checksums
+};
+
+/// Flattens every gated leaf. Array elements are labelled by their
+/// "config" / "name" / "index" member when present, so paths stay stable
+/// under row reordering.
+void flatten(const JsonValue& value, const std::string& path, Leaves& out) {
   switch (value.kind) {
     case JsonValue::Kind::kNumber:
-      out[path] = value.number;
+      out.numbers[path] = value.number;
+      return;
+    case JsonValue::Kind::kBool:
+      out.exact[path] = value.boolean ? "true" : "false";
+      return;
+    case JsonValue::Kind::kString:
+      if (path.ends_with("checksum")) out.exact[path] = value.string;
       return;
     case JsonValue::Kind::kObject:
       for (const auto& [key, member] : value.members) {
@@ -90,7 +104,7 @@ void flatten(const JsonValue& value, const std::string& path,
       return;
     }
     default:
-      return;  // strings/bools/nulls never gate
+      return;  // nulls never gate
   }
 }
 
@@ -115,16 +129,30 @@ int compare(const std::string& path_a, const std::string& path_b,
                      .c_str());
     return 1;
   }
-  std::map<std::string, double> a;
-  std::map<std::string, double> b;
+  Leaves a;
+  Leaves b;
   flatten(doc_a.value(), "", a);
   flatten(doc_b.value(), "", b);
 
   std::size_t checked = 0;
   std::size_t flagged = 0;
-  for (const auto& [key, va] : a) {
-    const auto it = b.find(key);
-    if (it == b.end()) {
+  for (const auto& [key, va] : a.exact) {
+    const auto it = b.exact.find(key);
+    if (it == b.exact.end()) {
+      std::printf("MISSING  %s (%s -> absent)\n", key.c_str(), va.c_str());
+      ++flagged;
+      continue;
+    }
+    ++checked;
+    if (it->second != va) {
+      std::printf("CHANGED  %s: %s -> %s\n", key.c_str(), va.c_str(),
+                  it->second.c_str());
+      ++flagged;
+    }
+  }
+  for (const auto& [key, va] : a.numbers) {
+    const auto it = b.numbers.find(key);
+    if (it == b.numbers.end()) {
       std::printf("MISSING  %s (%.6g -> absent)\n", key.c_str(), va);
       ++flagged;
       continue;
@@ -140,8 +168,11 @@ int compare(const std::string& path_a, const std::string& path_b,
     }
   }
   std::size_t added = 0;
-  for (const auto& [key, vb] : b) {
-    if (!a.contains(key)) ++added;
+  for (const auto& [key, vb] : b.numbers) {
+    if (!a.numbers.contains(key)) ++added;
+  }
+  for (const auto& [key, vb] : b.exact) {
+    if (!a.exact.contains(key)) ++added;
   }
   std::printf(
       "compare: %zu leaves checked, %zu flagged, %zu added (threshold "

@@ -223,6 +223,29 @@ if grep -rnE --exclude=check.sh 'ContextStack|context_stack\.h|ex::Context\b' \
 fi
 echo "each entered scope has one record"
 
+# One resolution engine per scope: a participant builds a scope's
+# resolve::ResolverCore once, at entry, and opens each later round in it
+# (ResolverCore::next_round), as §4.2 keeps one LE_i, LO_i and LP_i per
+# action and empties them at each commit. The engine also holds the
+# CrashSync barrier's waiting set and the last commit it applied, and the
+# avoidance coordinator reads and commits into it by reference. A per-round
+# engine factory, a commit gate or either CrashSync fact kept beside the
+# engine, or the coordinator's hooks back to it, is a second copy of the
+# scope's resolution state.
+echo "==== one engine per scope grep gate ========================"
+if grep -nE 'make_engine|make_hooks|set_commit_gate|sync_waiting|last_commit|held_commit' \
+    src/caa/participant.h src/caa/participant.cpp \
+  || grep -nE 'set_commit_gate|commit_gated_' \
+    src/resolve/resolver_core.h src/resolve/resolver_core.cpp \
+  || grep -nE 'std::function<[^>]*> *(round|engine_normal|apply_fast_commit|apply_synced_commit);' \
+    src/resolve/avoidance.h; then
+  echo "a per-round engine or a copy of its state is back" >&2
+  echo "(build the engine at entry, open rounds with ResolverCore::next_round," >&2
+  echo " and keep the CrashSync facts in the engine)" >&2
+  exit 1
+fi
+echo "each entered scope has one resolution engine"
+
 # One protocol event stream: the flight recorder (src/obs/flight_recorder.h)
 # records every protocol step as a typed record, and the §4.3 narrative
 # tests, caa-inspect, caa-chaos --trace and the Chrome trace (spans paired
@@ -270,17 +293,32 @@ else
 fi
 
 # caa-report must keep rendering the committed telemetry format: the
-# timeline of the golden export is byte-stable, and a freshly regenerated
-# BENCH_throughput.json must compare clean against the committed perf
-# record — anything beyond 15% on a checked deterministic metric fails. The
-# fresh run uses the record's own repetitions, so merged histogram counts
-# compare like with like.
+# timeline of the golden export is byte-stable, and freshly regenerated
+# BENCH_throughput.json, BENCH_chaos.json and BENCH_campaign.json must
+# compare clean against the committed perf records — a checksum or flag
+# that differs, or anything beyond 15% on a checked deterministic metric,
+# fails. Each fresh run uses its record's own parameters (repetitions,
+# plans, worlds, seed), so merged counts compare like with like; chaos
+# merged checksums do not depend on the thread count. The compare must
+# also reject a record whose checksum was altered. The recovery-strategies
+# record is left out: it has no checksum leaf, and a run takes about 48 s.
 echo "==== caa-report golden timeline + compare gate ============="
 if [ -n "${tooldir}" ] && [ -x "${tooldir}/caa-report" ]; then
   "${tooldir}/caa-report" tests/golden/timeseries_flat.json \
     | diff -u tests/golden/timeseries_flat_timeline.txt - \
     || { echo "caa-report timeline drifted from tests/golden/timeseries_flat_timeline.txt" >&2; exit 1; }
   echo "caa-report timeline matches the golden"
+  altered="$(mktemp /tmp/BENCH_altered.XXXXXX.json)"
+  sed '0,/"checksum": "[0-9a-f]*"/s//"checksum": "0000000000000000"/' \
+    BENCH_throughput.json > "${altered}"
+  if "${tooldir}/caa-report" --compare BENCH_throughput.json "${altered}" \
+      > /dev/null; then
+    echo "caa-report --compare accepted an altered checksum" >&2
+    rm -f "${altered}"
+    exit 1
+  fi
+  rm -f "${altered}"
+  echo "caa-report --compare rejects an altered checksum"
   bench_dir="${tooldir%/tools}"
   fresh_bench=""
   if [ -x "${bench_dir}/bench/bench_throughput" ]; then
@@ -295,6 +333,34 @@ if [ -n "${tooldir}" ] && [ -x "${tooldir}/caa-report" ]; then
       || { echo "fresh bench drifted >15% from the committed BENCH_throughput.json" >&2; exit 1; }
     rm -f "${fresh_bench}"
     echo "fresh bench compares clean against the committed perf record"
+  fi
+  if [ -x "${bench_dir}/bench/bench_chaos" ]; then
+    fresh_chaos="$(mktemp /tmp/BENCH_chaos.XXXXXX.json)"
+    plans="$(sed -n 's/^  "plans_per_profile": \([0-9][0-9]*\),$/\1/p' \
+      BENCH_chaos.json)"
+    seed="$(sed -n 's/^  "seed": \([0-9][0-9]*\),$/\1/p' BENCH_chaos.json)"
+    [ -n "${plans}" ] && [ -n "${seed}" ] \
+      || { echo "BENCH_chaos.json records no plans_per_profile or seed" >&2; exit 1; }
+    "${bench_dir}/bench/bench_chaos" --plans "${plans}" --seed "${seed}" \
+      --threads "${jobs}" --json "${fresh_chaos}" > /dev/null
+    "${tooldir}/caa-report" --compare BENCH_chaos.json "${fresh_chaos}" \
+      || { echo "fresh chaos bench drifted from the committed BENCH_chaos.json" >&2; exit 1; }
+    rm -f "${fresh_chaos}"
+    echo "fresh chaos bench compares clean against the committed record"
+  fi
+  if [ -x "${bench_dir}/bench/bench_campaign" ]; then
+    fresh_campaign="$(mktemp /tmp/BENCH_campaign.XXXXXX.json)"
+    worlds="$(sed -n 's/^  "worlds_per_size": \([0-9][0-9]*\),$/\1/p' \
+      BENCH_campaign.json)"
+    seed="$(sed -n 's/^  "seed": \([0-9][0-9]*\),$/\1/p' BENCH_campaign.json)"
+    [ -n "${worlds}" ] && [ -n "${seed}" ] \
+      || { echo "BENCH_campaign.json records no worlds_per_size or seed" >&2; exit 1; }
+    "${bench_dir}/bench/bench_campaign" --worlds "${worlds}" --seed "${seed}" \
+      --json "${fresh_campaign}" > /dev/null
+    "${tooldir}/caa-report" --compare BENCH_campaign.json "${fresh_campaign}" \
+      || { echo "fresh campaign bench drifted from the committed BENCH_campaign.json" >&2; exit 1; }
+    rm -f "${fresh_campaign}"
+    echo "fresh campaign bench compares clean against the committed record"
   fi
 else
   echo "skipped (no dev/release preset in this run)"
